@@ -15,9 +15,11 @@
 #   test-quick   the whole suite with property tests (including the
 #                VM-vs-interpreter differential suite) at a reduced
 #                case count (PROPTEST_CASES=8)
-#   stress       the concurrency stress suite (unrestricted test threads)
-#                plus the registry search-index differential proptests
-#   streaming    streaming + cancellation scenario tiers
+#   stress       the concurrency stress suite (unrestricted test threads),
+#                the registry search-index differential proptests, and the
+#                EnginePool start->drop shutdown stress test
+#   streaming    streaming + cancellation scenario tiers, including the
+#                single-PE (FaaS) streaming/cancel tests
 #   chaos        durability fault-injection suite at full proptest depth:
 #                crash/resume chaos, cross-backend epoch parity, torn
 #                journal segments, the mid-stream worker-failure
@@ -56,6 +58,8 @@ tier_stress() {
   # Registry search differential: indexed answers must equal the linear
   # scan under randomized mutation histories, and survive WAL replay.
   cargo test -q -p laminar-registry --test proptest_search
+  # Lost wake-up guard: start->drop cycles under load, with a watchdog.
+  cargo test -q -p laminar-engine --test stop_stress
 }
 
 tier_streaming() {
@@ -65,6 +69,8 @@ tier_streaming() {
   cargo test -q -p laminar-dataflow --test proptest_mappings fold_of_recorded_stream
   cargo test -q -p laminar-dataflow --test proptest_cancel
   cargo test -q -p laminar-engine pool::tests::cancel
+  cargo test -q --test integration single_pe
+  cargo test -q -p laminar-engine --lib single_pe
 }
 
 tier_chaos() {
@@ -104,7 +110,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,28p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

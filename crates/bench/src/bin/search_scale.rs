@@ -22,6 +22,7 @@
 //! match); smoke runs only emit the report, which `bench_check` then
 //! gates with looser smoke-sized bounds.
 
+use laminar_bench::percentile;
 use laminar_json::Value;
 use laminar_registry::{QueryType, Registry, SearchOptions, SearchType};
 use std::time::Instant;
@@ -108,14 +109,6 @@ fn build_corpus(reg: &mut Registry, tenants: usize, per_tenant: usize) {
             reg.register_pe(&user, &pe_source(t, i), Some(&description(t, i))).expect("register pe");
         }
     }
-}
-
-fn percentile(sorted_us: &[u64], p: f64) -> u64 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    let idx = ((p / 100.0) * (sorted_us.len() - 1) as f64).round() as usize;
-    sorted_us[idx.min(sorted_us.len() - 1)]
 }
 
 struct ModeStats {

@@ -305,3 +305,31 @@ pub fn bench_mapping(
         throughput: options.invocations() as f64 / secs,
     }
 }
+
+/// Nearest-rank percentile of an ascending slice: the smallest sample such
+/// that at least `p` percent of the samples are at or below it (rank
+/// `ceil(p/100 * n)`, 1-based) — the definition the repo benchmark
+/// (`perfbench`) uses. `0` on an empty slice.
+pub fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::percentile;
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let v: Vec<u64> = (1..=10).collect();
+        assert_eq!(percentile(&v, 50.0), 5);
+        assert_eq!(percentile(&v, 99.0), 10);
+        assert_eq!(percentile(&v, 0.0), 1);
+        assert_eq!(percentile(&v, 100.0), 10);
+        assert_eq!(percentile(&[7], 99.0), 7);
+        assert_eq!(percentile(&[], 50.0), 0);
+    }
+}

@@ -675,12 +675,13 @@ impl LaminarClient {
         })
     }
 
-    /// Iterate a job's events as they arrive, blocking between pages with
-    /// the same 2→50 ms backoff as [`LaminarClient::wait_job`] (reset
-    /// whenever events arrive). The iterator ends when the stream closes
-    /// (the last item is the `done`/`failed`/`cancelled` marker) or `timeout` passes
-    /// with the stream still open (final item: a transport error). A
-    /// transport error is also surfaced when the server's bounded log
+    /// Iterate a job's events as they arrive. Each page request long-polls
+    /// ([`LaminarClient::job_events_wait`], 10 s per page), so events are
+    /// delivered the moment the server appends them, with no client-side
+    /// sleep between pages. The iterator ends when the stream closes (the
+    /// last item is the `done`/`failed`/`cancelled` marker) or `timeout`
+    /// passes with the stream still open (final item: a transport error).
+    /// A transport error is also surfaced when the server's bounded log
     /// evicted events past the cursor (truncation) — the stream would
     /// otherwise silently diverge from the batch result.
     pub fn event_stream(&self, job_id: i64, timeout: std::time::Duration) -> JobEventStream<'_> {
@@ -692,19 +693,7 @@ impl LaminarClient {
             closed: false,
             failed: false,
             deadline: std::time::Instant::now() + timeout,
-            wait: std::time::Duration::ZERO,
         }
-    }
-
-    /// Like [`LaminarClient::event_stream`] but push-driven: each page
-    /// request long-polls ([`LaminarClient::job_events_wait`]) so events
-    /// are delivered the moment the server appends them, with no
-    /// client-side sleep between pages. Same items, same termination —
-    /// only the delivery latency and request count change.
-    pub fn event_stream_push(&self, job_id: i64, timeout: std::time::Duration) -> JobEventStream<'_> {
-        let mut stream = self.event_stream(job_id, timeout);
-        stream.wait = std::time::Duration::from_millis(10_000);
-        stream
     }
 
     /// Wait for a job like [`LaminarClient::wait_job`], invoking
@@ -751,8 +740,6 @@ pub struct JobEventStream<'a> {
     closed: bool,
     failed: bool,
     deadline: std::time::Instant,
-    /// Per-page long-poll budget: zero polls, non-zero parks server-side.
-    wait: std::time::Duration,
 }
 
 impl JobEventStream<'_> {
@@ -781,7 +768,6 @@ impl Iterator for JobEventStream<'_> {
     type Item = Result<Value, ClientError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        let mut delay = std::time::Duration::from_millis(2);
         loop {
             if let Some(event) = self.buffered.pop_front() {
                 return Some(Ok(event));
@@ -790,51 +776,40 @@ impl Iterator for JobEventStream<'_> {
                 return None;
             }
             let budget = self.deadline.saturating_duration_since(std::time::Instant::now());
-            match self.client.job_events_wait(self.job_id, self.cursor, self.wait.min(budget)) {
+            let wait = budget.min(std::time::Duration::from_secs(10));
+            match self.client.job_events_wait(self.job_id, self.cursor, wait) {
                 Ok(page) => {
                     // The server's log is bounded: if the oldest retained
                     // seq moved past our cursor, events were evicted before
                     // we read them. Recovery is engine-side for checkpointed
                     // jobs: the horizon policy keeps an epoch marker as the
-                    // anchor and `retained_epoch` names it — the page
-                    // already starts at the marker, so re-anchor the fold
-                    // there (non-fatal, iteration continues). The marker
-                    // scan below is the fallback for older servers that
-                    // evict blindly but still retain a marker mid-window.
-                    // Without a checkpoint the gap is unrecoverable:
-                    // surface it instead of silently yielding a divergent
-                    // stream.
+                    // anchor, the page starts at it, and `retained_epoch`
+                    // names it — re-anchor the fold there (non-fatal,
+                    // iteration continues). Without a checkpoint the gap is
+                    // unrecoverable: surface it instead of silently yielding
+                    // a divergent stream.
                     if self.cursor < page.first {
-                        let epoch_at = match page.retained_epoch {
-                            Some(_) => Some(0),
-                            None => page.events.iter().position(|e| e["type"].as_str() == Some("epoch")),
+                        let Some(at_epoch) = page.retained_epoch else {
+                            self.failed = true;
+                            return Some(Err(ClientError::Transport(format!(
+                                "job {} event log truncated: events {}..{} were evicted before they \
+                                 were read (read faster, checkpoint the run, or fold from the job result)",
+                                self.job_id, self.cursor, page.first
+                            ))));
                         };
-                        if let Some(pos) = epoch_at {
-                            let at_epoch = page
-                                .retained_epoch
-                                .map(|e| e as i64)
-                                .or_else(|| page.events.get(pos)?["epoch"].as_i64())
-                                .unwrap_or(0);
-                            self.buffered.extend(page.events.into_iter().skip(pos));
-                            self.cursor = page.next;
-                            self.closed = page.closed;
-                            return Some(Err(ClientError::Resumed { job: self.job_id, at_epoch }));
-                        }
-                        self.failed = true;
-                        return Some(Err(ClientError::Transport(format!(
-                            "job {} event log truncated: events {}..{} were evicted before they were \
-                             read (poll faster, checkpoint the run, or fold from the job result)",
-                            self.job_id, self.cursor, page.first
-                        ))));
+                        self.buffered.extend(page.events);
+                        self.cursor = page.next;
+                        self.closed = page.closed;
+                        return Some(Err(ClientError::Resumed {
+                            job: self.job_id,
+                            at_epoch: at_epoch as i64,
+                        }));
                     }
                     self.cursor = page.next;
                     self.closed = page.closed;
-                    if !page.events.is_empty() {
-                        self.buffered.extend(page.events);
+                    self.buffered.extend(page.events);
+                    if !self.buffered.is_empty() || self.closed {
                         continue;
-                    }
-                    if self.closed {
-                        return None;
                     }
                 }
                 Err(e) => {
@@ -842,19 +817,12 @@ impl Iterator for JobEventStream<'_> {
                     return Some(Err(e));
                 }
             }
-            let now = std::time::Instant::now();
-            if now >= self.deadline {
+            if std::time::Instant::now() >= self.deadline {
                 self.failed = true;
                 return Some(Err(ClientError::Transport(format!(
                     "job {} event stream still open at timeout",
                     self.job_id
                 ))));
-            }
-            // Push mode already waited server-side; re-request straight
-            // away. Poll mode paces itself with the 2→50 ms ladder.
-            if self.wait.is_zero() {
-                std::thread::sleep(delay.min(self.deadline - now));
-                delay = (delay * 2).min(std::time::Duration::from_millis(50));
             }
         }
     }
@@ -1423,10 +1391,10 @@ mod tests {
     }
 
     #[test]
-    fn push_event_stream_matches_polling_over_tcp() {
+    fn long_poll_stream_over_tcp_folds_to_the_job_result() {
         // The long-poll `&wait_ms=` query rides inside the percent-encoded
-        // segment over real HTTP, and push delivery yields exactly the
-        // same items as polling — only the transport rhythm differs.
+        // segment over real HTTP, and the streamed events fold to exactly
+        // the job's batch result.
         let http = laminar_server::HttpServer::start(LaminarServer::in_memory()).unwrap();
         let mut c = LaminarClient::connect(http.addr());
         c.register("push-tcp", "password").unwrap();
@@ -1435,16 +1403,17 @@ mod tests {
         let id = c
             .submit(RunTarget::Registered("isPrime".into()), RunConfig::iterations(20).with_events(true))
             .unwrap();
-        let pushed: Vec<Value> =
-            c.event_stream_push(id, std::time::Duration::from_secs(20)).collect::<Result<_, _>>().unwrap();
-        assert_eq!(pushed.last().unwrap()["type"].as_str(), Some("done"));
-        // Replaying the sealed stream by polling yields the identical
-        // sequence.
-        let polled: Vec<Value> =
+        let streamed: Vec<Value> =
             c.event_stream(id, std::time::Duration::from_secs(20)).collect::<Result<_, _>>().unwrap();
-        assert_eq!(pushed, polled);
-        let seqs: Vec<i64> = pushed.iter().filter_map(|e| e["seq"].as_i64()).collect();
-        assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "gap-free push stream: {seqs:?}");
+        assert_eq!(streamed.last().unwrap()["type"].as_str(), Some("done"));
+        let seqs: Vec<i64> = streamed.iter().filter_map(|e| e["seq"].as_i64()).collect();
+        assert!(seqs.windows(2).all(|w| w[1] == w[0] + 1), "gap-free stream: {seqs:?}");
+        let folded =
+            laminar_dataflow::fold_events(streamed.iter().filter_map(laminar_dataflow::RunEvent::from_value));
+        let result = c.job_result(id).unwrap().expect("job finished");
+        assert_eq!(folded.printed, result.printed);
+        assert_eq!(folded.stats.processed, result.processed);
+        assert_eq!(folded.stats.events, result.events);
         http.stop();
     }
 

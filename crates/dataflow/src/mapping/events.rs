@@ -25,12 +25,13 @@
 //! * Event `seq` numbers are assigned at the sink: a single total order
 //!   per run, per-instance emission order preserved (each worker emits its
 //!   own events in program order).
-//! * Without an observer the parallel runtime buffers each worker's events
-//!   locally and folds them at join time in dense-instance order — the
-//!   pre-stream accumulate-then-collect cost profile (one lock per worker,
-//!   deterministic result order). With an observer attached, workers flush
-//!   per emission burst so events become visible while upstream instances
-//!   are still producing.
+//! * Every worker flushes its events into the sink per emission burst,
+//!   observed or not, so events reach the sink as they happen: an
+//!   observer sees outputs while upstream instances are still producing,
+//!   and every run's `first_output` is a real time-to-first-output. The
+//!   cost is one sink lock per burst; parallel runs fold in arrival
+//!   order, so their per-port output order follows the interleaving
+//!   (the Simple mapping's single thread stays fully deterministic).
 //! * Events carry `Arc<str>` PE/port names cloned from the plan's interned
 //!   tables — emitting an event never allocates a name, preserving the
 //!   zero-allocation datapath property (`alloc_interning.rs`).
@@ -337,11 +338,6 @@ struct SinkInner {
     seq: u64,
     enact_start: Option<Instant>,
     first_output: Option<Duration>,
-    /// Whether events reach the sink as they happen. True for the
-    /// sequential runtime (always) and for observed parallel runs;
-    /// false for unobserved parallel runs, whose workers buffer until
-    /// join — there a first-output timestamp would be meaningless.
-    realtime: bool,
 }
 
 /// The runtime's event funnel: assigns sequence numbers, tees each event
@@ -355,7 +351,6 @@ pub struct EventSink {
 impl EventSink {
     /// A sink for one enactment.
     pub fn new(observer: Option<Arc<dyn RunObserver>>) -> EventSink {
-        let realtime = observer.is_some();
         EventSink {
             observer,
             inner: Mutex::new(SinkInner {
@@ -363,21 +358,8 @@ impl EventSink {
                 seq: 0,
                 enact_start: None,
                 first_output: None,
-                realtime,
             }),
         }
-    }
-
-    /// Whether an observer is attached — workers flush per burst when
-    /// live, at end-of-instance otherwise.
-    pub fn live(&self) -> bool {
-        self.observer.is_some()
-    }
-
-    /// Declare that events reach this sink as they happen even without an
-    /// observer (the sequential runtime), enabling `first_output` timing.
-    pub fn set_realtime(&self) {
-        self.inner.lock().realtime = true;
     }
 
     /// Mark the start of the enact stage (the zero of `first_output`).
@@ -391,7 +373,7 @@ impl EventSink {
         self.push_locked(&mut inner, event);
     }
 
-    /// Push a worker's buffered events under one lock, draining `buf`.
+    /// Push one emission burst's events under one lock, draining `buf`.
     pub fn extend(&self, buf: &mut Vec<RunEvent>) {
         if buf.is_empty() {
             return;
@@ -426,7 +408,7 @@ impl EventSink {
     }
 
     fn push_locked(&self, inner: &mut SinkInner, event: RunEvent) {
-        if inner.realtime && inner.first_output.is_none() {
+        if inner.first_output.is_none() {
             if let RunEvent::Output { .. } = &event {
                 inner.first_output = Some(inner.enact_start.map(|t| t.elapsed()).unwrap_or_default());
             }

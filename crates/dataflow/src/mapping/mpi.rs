@@ -202,7 +202,7 @@ impl Mapping for MpiMapping {
         options: &RunOptions,
         observer: Option<std::sync::Arc<dyn super::RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
-        Runtime::new(graph, options).threaded_observed(MpiConnector::default(), observer)
+        Runtime::new(graph, options).threaded(MpiConnector::default(), observer)
     }
 }
 

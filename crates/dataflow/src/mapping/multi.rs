@@ -115,7 +115,7 @@ impl Mapping for MultiMapping {
         options: &RunOptions,
         observer: Option<std::sync::Arc<dyn super::RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
-        Runtime::new(graph, options).threaded_observed(ChannelConnector::default(), observer)
+        Runtime::new(graph, options).threaded(ChannelConnector::default(), observer)
     }
 }
 

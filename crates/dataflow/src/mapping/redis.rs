@@ -167,7 +167,7 @@ impl Mapping for RedisMapping {
                 &owned_broker
             }
         };
-        Runtime::new(graph, options).threaded_observed(
+        Runtime::new(graph, options).threaded(
             BrokerConnector {
                 broker,
                 timeout: options.queue_timeout,

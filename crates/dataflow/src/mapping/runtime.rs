@@ -29,7 +29,7 @@
 //! # Adding a fifth back-end
 //!
 //! Implement [`Connector`] (plus its [`Transport`]) and delegate from a new
-//! [`super::Mapping`]:
+//! [`super::Mapping`], passing the caller's observer through:
 //!
 //! ```ignore
 //! struct ZmqConnector { /* sockets, endpoints, ... */ }
@@ -47,7 +47,7 @@
 //!     fn execute_observed(&self, graph: &WorkflowGraph, options: &RunOptions,
 //!                         observer: Option<Arc<dyn RunObserver>>)
 //!         -> Result<RunResult, DataflowError> {
-//!         Runtime::new(graph, options).threaded_observed(ZmqConnector::new(), observer)
+//!         Runtime::new(graph, options).threaded(ZmqConnector::new(), observer)
 //!     }
 //! }
 //! ```
@@ -110,24 +110,13 @@ impl<'a> Runtime<'a> {
     /// Deterministic single-threaded enactment (the Simple mapping): one
     /// instance per PE, producers run iteration by iteration, and the
     /// in-process FIFO is drained breadth-first between iterations so
-    /// memory stays flat (streaming, not batch).
-    pub fn sequential(&self) -> Result<RunResult, DataflowError> {
-        self.sequential_observed(None)
-    }
-
-    /// [`Runtime::sequential`] with a live event stream: every
-    /// [`RunEvent`] reaches `observer` the moment it happens, and the
-    /// returned result is the fold over that same stream.
-    pub fn sequential_observed(
-        &self,
-        observer: Option<Arc<dyn RunObserver>>,
-    ) -> Result<RunResult, DataflowError> {
+    /// memory stays flat (streaming, not batch). Every [`RunEvent`]
+    /// reaches `observer` (if any) the moment it happens, and the returned
+    /// result is the fold over that same stream.
+    pub fn sequential(&self, observer: Option<Arc<dyn RunObserver>>) -> Result<RunResult, DataflowError> {
         let t0 = Instant::now();
         let plan = ConcretePlan::sequential(self.graph)?;
         let sink = EventSink::new(observer);
-        // The sequential drain pushes events in execution order, so first-
-        // output timing is real even without an observer.
-        sink.set_realtime();
         let (mut epoch, mut snapshots) = self.resume_into(&sink);
         if self.options.resume.is_none() {
             sink.push(RunEvent::PlanReady { pes: plan_pes(self.graph, &plan) });
@@ -234,15 +223,10 @@ impl<'a> Runtime<'a> {
 
     /// Parallel enactment: distribute `options.processes` across the graph,
     /// run one worker thread per instance, and connect them through
-    /// `connector`'s transport.
-    pub fn threaded<C: Connector>(&self, connector: C) -> Result<RunResult, DataflowError> {
-        self.threaded_observed(connector, None)
-    }
-
-    /// [`Runtime::threaded`] with a live event stream: workers flush their
-    /// events to `observer` per emission burst, so terminal outputs are
-    /// visible while upstream instances are still producing.
-    pub fn threaded_observed<C: Connector>(
+    /// `connector`'s transport. Workers flush their events to the sink
+    /// (and `observer`, if any) per emission burst, so terminal outputs
+    /// are visible while upstream instances are still producing.
+    pub fn threaded<C: Connector>(
         &self,
         mut connector: C,
         observer: Option<Arc<dyn RunObserver>>,
@@ -276,7 +260,7 @@ impl<'a> Runtime<'a> {
             for runner in &runners {
                 endpoints.push(connector.endpoint(runner.inst)?);
             }
-            let buffers = std::thread::scope(|scope| {
+            std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(runners.len());
                 for (runner, transport) in runners.iter_mut().zip(endpoints) {
                     handles
@@ -297,12 +281,6 @@ impl<'a> Runtime<'a> {
                 return Err(DataflowError::Cancelled);
             }
 
-            // Unobserved workers returned their buffered events; fold them in
-            // dense-instance (spawn) order so the batch result is
-            // deterministic. Observed workers already flushed (empty buffers).
-            for mut events in buffers {
-                sink.extend(&mut events);
-            }
             match self.seal_round(&sink, &runners, chunk, limit, range, &mut epoch, &mut snapshots)? {
                 RoundOutcome::Continue => {
                     runners = self.build_runners(&plan, snapshots.as_ref())?;
@@ -455,9 +433,8 @@ enum RoundOutcome {
 /// stopped waiting because the token fired must not mask the PE error
 /// that actually killed the run).
 fn join_workers(
-    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<Vec<RunEvent>, DataflowError>>>,
-) -> Result<Vec<Vec<RunEvent>>, DataflowError> {
-    let mut buffers = Vec::with_capacity(handles.len());
+    handles: Vec<std::thread::ScopedJoinHandle<'_, Result<(), DataflowError>>>,
+) -> Result<(), DataflowError> {
     let mut first_err: Option<DataflowError> = None;
     let note = |e: DataflowError, first_err: &mut Option<DataflowError>| match first_err {
         None => *first_err = Some(e),
@@ -466,14 +443,14 @@ fn join_workers(
     };
     for h in handles {
         match h.join() {
-            Ok(Ok(events)) => buffers.push(events),
+            Ok(Ok(())) => {}
             Ok(Err(e)) => note(e, &mut first_err),
             Err(_) => note(DataflowError::Enactment("worker thread panicked".into()), &mut first_err),
         }
     }
     match first_err {
         Some(e) => Err(e),
-        None => Ok(buffers),
+        None => Ok(()),
     }
 }
 
@@ -516,7 +493,7 @@ mod tests {
     fn sequential_runtime_is_simple_mapping() {
         let g = square_graph();
         let opts = RunOptions::iterations(10);
-        let via_runtime = Runtime::new(&g, &opts).sequential().unwrap();
+        let via_runtime = Runtime::new(&g, &opts).sequential(None).unwrap();
         let via_mapping = SimpleMapping.execute(&g, &opts).unwrap();
         assert_eq!(via_runtime.outputs, via_mapping.outputs);
         assert_eq!(via_runtime.stats.processed, via_mapping.stats.processed);
@@ -545,7 +522,7 @@ mod tests {
         // Reference: the deterministic batch stream of the full run.
         let recorder = RecordingObserver::new();
         Runtime::new(&g, &RunOptions::iterations(20))
-            .sequential_observed(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
+            .sequential(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
             .unwrap();
         let batch: Vec<RunEvent> = recorder.take().into_iter().map(|(_, _, e)| e).collect();
 
@@ -554,7 +531,7 @@ mod tests {
         let observer = Arc::new(CancelAt { token: token.clone(), at: 9, events: Mutex::new(Vec::new()) });
         let opts = RunOptions::iterations(20).with_cancel(token);
         let err = Runtime::new(&g, &opts)
-            .sequential_observed(Some(Arc::clone(&observer) as Arc<dyn super::super::RunObserver>))
+            .sequential(Some(Arc::clone(&observer) as Arc<dyn super::super::RunObserver>))
             .unwrap_err();
         assert_eq!(err, DataflowError::Cancelled);
 
@@ -612,7 +589,7 @@ mod tests {
         let opts = RunOptions::unbounded(std::time::Duration::ZERO, token)
             .with_generator(Arc::new(|i| Value::Int(i as i64)));
         let err = Runtime::new(&g, &opts)
-            .sequential_observed(Some(Arc::clone(&observer) as Arc<dyn super::super::RunObserver>))
+            .sequential(Some(Arc::clone(&observer) as Arc<dyn super::super::RunObserver>))
             .unwrap_err();
         assert_eq!(err, DataflowError::Cancelled);
         let outputs: Vec<i64> = observer
@@ -706,7 +683,7 @@ mod tests {
         let g = stateful_graph();
         let recorder = RecordingObserver::new();
         Runtime::new(&g, &RunOptions::iterations(10).with_checkpoints(4))
-            .sequential_observed(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
+            .sequential(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
             .unwrap();
         let epochs: Vec<u64> = recorder
             .take()
@@ -722,7 +699,7 @@ mod tests {
         // A limit landing exactly on a chunk boundary still gets its epoch.
         let recorder = RecordingObserver::new();
         Runtime::new(&g, &RunOptions::iterations(8).with_checkpoints(4))
-            .sequential_observed(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
+            .sequential(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
             .unwrap();
         let epochs: Vec<u64> = recorder
             .take()
@@ -744,7 +721,7 @@ mod tests {
             .with_checkpoints(4)
             .with_faults(FaultPlan { kill_at_epoch: Some(2), ..FaultPlan::none() });
         let err = Runtime::new(&g, &opts)
-            .sequential_observed(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
+            .sequential(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
             .unwrap_err();
         assert_eq!(err, DataflowError::Injected { epoch: 2 });
         let events: Vec<RunEvent> = recorder.take().into_iter().map(|(_, _, e)| e).collect();
@@ -771,7 +748,7 @@ mod tests {
             .with_checkpoints(4)
             .with_faults(FaultPlan { kill_at_epoch: Some(2), ..FaultPlan::none() });
         Runtime::new(&g, &opts)
-            .sequential_observed(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
+            .sequential(Some(recorder.clone() as Arc<dyn super::super::RunObserver>))
             .unwrap_err();
         let events: Vec<RunEvent> = recorder.take().into_iter().map(|(_, _, e)| e).collect();
         let snapshots = match events.last() {
@@ -785,7 +762,7 @@ mod tests {
             snapshots,
             events,
         });
-        let resumed = Runtime::new(&g, &opts).sequential().unwrap();
+        let resumed = Runtime::new(&g, &opts).sequential(None).unwrap();
         assert_eq!(resumed.outputs, batch.outputs, "resume diverged from batch outputs");
         assert_eq!(resumed.printed, batch.printed, "resume diverged from batch prints");
         assert_eq!(resumed.stats.processed, batch.stats.processed);
@@ -805,7 +782,7 @@ mod tests {
         let opts = RunOptions::unbounded(std::time::Duration::ZERO, token)
             .with_checkpoints(5)
             .with_faults(FaultPlan { stop_at_epoch: Some(2), ..FaultPlan::none() });
-        let stopped = Runtime::new(&g, &opts).sequential().unwrap();
+        let stopped = Runtime::new(&g, &opts).sequential(None).unwrap();
         let bounded = SimpleMapping.execute(&g, &RunOptions::iterations(10)).unwrap();
         assert_eq!(stopped.outputs, bounded.outputs);
         assert_eq!(stopped.stats.processed, bounded.stats.processed);

@@ -21,7 +21,7 @@ impl Mapping for SimpleMapping {
         options: &RunOptions,
         observer: Option<std::sync::Arc<dyn super::RunObserver>>,
     ) -> Result<RunResult, DataflowError> {
-        Runtime::new(graph, options).sequential_observed(observer)
+        Runtime::new(graph, options).sequential(observer)
     }
 }
 

@@ -185,6 +185,14 @@ proptest! {
             prop_assert_eq!(&batch.stats.processed, &observed.stats.processed, "{}", mapping.kind());
             prop_assert_eq!(&batch.stats.emitted, &observed.stats.emitted, "{}", mapping.kind());
             prop_assert_eq!(batch.stats.events, observed.stats.events, "{}", mapping.kind());
+            // Unobserved runs stream too: time-to-first-output is reported
+            // exactly when the run produced output.
+            prop_assert_eq!(
+                batch.stats.first_output.is_some(),
+                batch.total_outputs() > 0,
+                "{}",
+                mapping.kind()
+            );
         }
     }
 }

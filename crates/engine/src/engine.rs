@@ -6,14 +6,13 @@ use crate::netmodel::NetModel;
 use crate::request::ExecutionRequest;
 use laminar_dataflow::mapping::{RunOptions, RunResult};
 use laminar_dataflow::{
-    CancelToken, DataflowError, RunEvent, RunObserver, ScriptPeFactory, StageTimings, WorkflowGraph,
+    CancelToken, DataflowError, Pe, PeFactory, PeMeta, RunObserver, ScriptPeFactory, Sink, StageTimings,
+    WorkflowGraph,
 };
 use laminar_json::Value;
-use laminar_script::{analysis, parse_script, VecSink};
+use laminar_script::{analysis, parse_script};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-use laminar_dataflow::pe::{Pe, PeFactory as _};
 
 /// Outcome of a serverless execution, returned to the client
 /// (paper Figure 9 shows `printed` forwarded verbatim).
@@ -46,8 +45,8 @@ pub struct ExecutionOutput {
     pub worker: Option<usize>,
     /// Events the enactment's stream carried (plan/lifecycle/output/print).
     pub events: u64,
-    /// Time from enact start to the first terminal-port output, when the
-    /// event stream was real-time (Simple runs and streamed executions).
+    /// Time from enact start to the first terminal-port output (`None`
+    /// when the run produced none), on every mapping, streamed or not.
     pub first_output: Option<Duration>,
 }
 
@@ -236,24 +235,12 @@ impl ExecutionEngine {
         self.run_controlled(req, None, &CancelToken::new())
     }
 
-    /// Handle one execution request end-to-end, streaming the enactment's
-    /// [`RunEvent`]s to `observer` as they happen (instance lifecycle,
-    /// terminal-port outputs, prints, counters, final stats). The returned
-    /// output is the fold over that same stream.
-    pub fn run_streaming(
-        &mut self,
-        req: &ExecutionRequest,
-        observer: Arc<dyn RunObserver>,
-    ) -> Result<ExecutionOutput, DataflowError> {
-        self.run_controlled(req, Some(observer), &CancelToken::new())
-    }
-
     /// The fully-controlled entry point: an optional live event observer
     /// plus a cooperative [`CancelToken`] the enactment checks between PE
-    /// invocations. Cancellation surfaces as
-    /// [`DataflowError::Cancelled`]; the events emitted up to that point
-    /// (observer-visible, sealed by [`RunEvent::Cancelled`]) are a valid
-    /// prefix of the run's stream. Unbounded requests
+    /// invocations. Cancellation surfaces as [`DataflowError::Cancelled`];
+    /// the events emitted up to that point (observer-visible, sealed by
+    /// [`laminar_dataflow::RunEvent::Cancelled`]) are a valid prefix of the
+    /// run's stream. Unbounded requests
     /// ([`ExecutionRequest::with_unbounded`]) terminate *only* through
     /// the token.
     pub fn run_controlled(
@@ -335,15 +322,6 @@ impl ExecutionEngine {
         observer: Option<Arc<dyn RunObserver>>,
         cancel: &CancelToken,
     ) -> Result<RunResult, DataflowError> {
-        let workflow_names: Vec<String> = script.workflows().map(|w| w.name.clone()).collect();
-        let pe_names: Vec<String> = script.pes().map(|p| p.name.clone()).collect();
-
-        let target_workflow = match (&req.workflow, workflow_names.len()) {
-            (Some(name), _) => Some(name.clone()),
-            (None, 0) => None,
-            (None, _) => Some(workflow_names[0].clone()),
-        };
-
         let mut options = RunOptions::iterations(0).with_processes(req.processes).with_cancel(cancel.clone());
         options.input = req.input.clone();
         options.checkpoint_every = req.options.checkpoint_every;
@@ -353,121 +331,108 @@ impl ExecutionEngine {
         options.faults = req.faults.clone().unwrap_or_else(laminar_dataflow::FaultPlan::from_env);
         options.resume = req.resume.clone();
 
-        if let Some(wf) = target_workflow {
-            let graph = WorkflowGraph::from_script_with_host(&req.source, &wf, host)?;
-            let mapping = req.mapping.build();
-            mapping.execute_observed(&graph, &options, observer)
-        } else if pe_names.len() == 1 {
-            // FaaS-style single-PE execution (paper §3.4.1).
-            let result = self.run_single_pe(req, &pe_names[0], host, &options)?;
-            if let Some(observer) = observer {
-                replay_result_as_events(&result, &observer);
+        let workflow = req.workflow.as_deref().or_else(|| script.workflows().next().map(|w| w.name.as_str()));
+        let mut pes = script.pes();
+        let graph = match (workflow, pes.next(), pes.next()) {
+            (Some(wf), _, _) => WorkflowGraph::from_script_with_host(&req.source, wf, host)?,
+            // FaaS-style single-PE execution (paper §3.4.1): a one-node
+            // workflow, so it streams, cancels and checkpoints like any other.
+            (None, Some(pe), None) => {
+                let factory = ScriptPeFactory::from_source_with_host(&req.source, &pe.name, host)?;
+                let mut graph = WorkflowGraph::new(pe.name.as_str());
+                graph.add(Arc::new(SinglePeFactory::new(factory)));
+                graph
             }
-            Ok(result)
-        } else {
-            Err(DataflowError::Options(
-                "request has no workflow and more than one PE; name the workflow to run".into(),
-            ))
-        }
-    }
-
-    /// Run one PE like a traditional FaaS function: drive it with the
-    /// input and collect everything it emits.
-    fn run_single_pe(
-        &self,
-        req: &ExecutionRequest,
-        pe_name: &str,
-        host: Arc<dyn laminar_script::Host + Send + Sync>,
-        options: &RunOptions,
-    ) -> Result<RunResult, DataflowError> {
-        if options.is_unbounded() {
-            // The FaaS path buffers everything and replays it at
-            // completion — an unbounded run would never surface a single
-            // result. Only workflow enactments stream.
-            return Err(DataflowError::Options(
-                "unbounded input requires a workflow enactment; a single-PE (FaaS) run only returns \
-                 results at completion"
-                    .into(),
-            ));
-        }
-        let factory = ScriptPeFactory::from_source_with_host(&req.source, pe_name, host)?;
-        let meta = factory.meta().clone();
-        let mut pe: Box<dyn Pe> = factory.instantiate();
-        let mut sink = VecSink::default();
-        pe.setup(0, 1, &mut sink)?;
-        let is_producer = meta.inputs.is_empty();
-        let default_in = meta.inputs.first().map(|p| p.name.clone()).unwrap_or_else(|| "input".into());
-        let mut invoked = 0usize;
-        // Same cooperative contract as the dataflow runtime: the token is
-        // checked between invocations, so DELETE stops a long bounded
-        // FaaS run at a clean boundary. (Unbounded input was rejected
-        // above — this loop always has a limit.)
-        let limit = options.bounded_invocations().expect("unbounded rejected above");
-        while invoked < limit {
-            if options.cancel.is_cancelled() {
-                return Err(DataflowError::Cancelled);
+            _ => {
+                return Err(DataflowError::Options(
+                    "request has no workflow and more than one PE; name the workflow to run".into(),
+                ))
             }
-            let i = invoked;
-            let datum = options.datum_for(i);
-            let input = match (&datum, is_producer) {
-                (Some(v), _) => Some((default_in.as_str(), v.clone())),
-                (None, true) => None,
-                (None, false) => Some((default_in.as_str(), Value::Int(i as i64))),
-            };
-            pe.process(input, i as i64, &mut sink)?;
-            invoked += 1;
-        }
-        let mut result = RunResult::default();
-        for (port, value) in sink.emitted {
-            result.outputs.entry((meta.name.clone(), port.to_string())).or_default().push(value);
-        }
-        result.printed = sink.printed;
-        result.stats.processed.insert(meta.name.clone(), invoked as u64);
-        result.stats.instances.insert(meta.name.clone(), 1);
-        // The stream a replay of this result synthesizes: plan + started +
-        // one event per output/print + instance-finished.
-        result.stats.events = 3 + result.total_outputs() as u64 + result.printed.len() as u64;
-        Ok(result)
+        };
+        req.mapping.build().execute_observed(&graph, &options, observer)
     }
 }
 
-/// Synthesize the event stream of a completed single-PE (FaaS) run. The
-/// FaaS path has no enactment runtime to stream from, so its events reach
-/// the observer at completion, in result order — same contract
-/// (`fold(events) == result`), degenerate granularity.
-fn replay_result_as_events(result: &RunResult, observer: &Arc<dyn RunObserver>) {
-    let mut seq = 0u64;
-    let mut emit = |ev: RunEvent| {
-        observer.on_event(seq, &ev);
-        seq += 1;
-    };
-    let pes: Vec<(Arc<str>, usize)> =
-        result.stats.instances.iter().map(|(k, &n)| (Arc::from(k.as_str()), n)).collect();
-    let pe: Arc<str> = pes.first().map(|(p, _)| Arc::clone(p)).unwrap_or_else(|| Arc::from("pe"));
-    emit(RunEvent::PlanReady { pes });
-    emit(RunEvent::InstanceStarted { pe: Arc::clone(&pe), instance: 0 });
-    for ((pe_name, port), values) in &result.outputs {
-        for value in values {
-            emit(RunEvent::Output {
-                pe: Arc::from(pe_name.as_str()),
-                instance: 0,
-                port: Arc::from(port.as_str()),
-                value: value.clone(),
-            });
-        }
+/// The single-PE (FaaS) contract as a workflow root. The wrapped PE may
+/// declare inputs, but a root must not, so the adapter declares none and
+/// forwards each invocation's datum — or, when no data is given, the
+/// iteration index — to the PE's first declared input. Producers pass
+/// through unchanged.
+struct SinglePeFactory {
+    pe: ScriptPeFactory,
+    meta: PeMeta,
+    input: Option<String>,
+}
+
+impl SinglePeFactory {
+    fn new(pe: ScriptPeFactory) -> SinglePeFactory {
+        let mut meta = pe.meta().clone();
+        let input = (!meta.inputs.is_empty()).then(|| meta.inputs.remove(0).name);
+        meta.inputs.clear();
+        SinglePeFactory { pe, meta, input }
     }
-    for line in &result.printed {
-        emit(RunEvent::Print { pe: Arc::clone(&pe), instance: 0, line: line.clone() });
+}
+
+impl PeFactory for SinglePeFactory {
+    fn meta(&self) -> &PeMeta {
+        &self.meta
     }
-    let processed = result.stats.processed.values().sum();
-    emit(RunEvent::InstanceFinished { pe, instance: 0, processed, emitted: result.total_outputs() as u64 });
-    emit(RunEvent::Finished { stats: result.stats.clone() });
+
+    fn instantiate(&self) -> Box<dyn Pe> {
+        Box::new(SinglePe { pe: self.pe.instantiate(), meta: self.meta.clone(), input: self.input.clone() })
+    }
+
+    fn compile_time(&self) -> Duration {
+        self.pe.compile_time()
+    }
+}
+
+struct SinglePe {
+    pe: Box<dyn Pe>,
+    meta: PeMeta,
+    input: Option<String>,
+}
+
+impl Pe for SinglePe {
+    fn meta(&self) -> &PeMeta {
+        &self.meta
+    }
+
+    fn setup(&mut self, instance: usize, total: usize, out: &mut dyn Sink) -> Result<(), DataflowError> {
+        self.pe.setup(instance, total, out)
+    }
+
+    fn process(
+        &mut self,
+        input: Option<(&str, Value)>,
+        iteration: i64,
+        out: &mut dyn Sink,
+    ) -> Result<(), DataflowError> {
+        let input = match (&self.input, input) {
+            (Some(port), Some((_, v))) => Some((port.as_str(), v)),
+            (Some(port), None) => Some((port.as_str(), Value::Int(iteration))),
+            (None, input) => input,
+        };
+        self.pe.process(input, iteration, out)
+    }
+
+    fn use_interpreter(&mut self) {
+        self.pe.use_interpreter();
+    }
+
+    fn snapshot_state(&self) -> Option<Value> {
+        self.pe.snapshot_state()
+    }
+
+    fn restore_state(&mut self, snapshot: &Value) {
+        self.pe.restore_state(snapshot);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use laminar_dataflow::MappingKind;
+    use laminar_dataflow::{MappingKind, RunEvent};
 
     const WF_SRC: &str = r#"
         pe Seq : producer { output output; process { emit(iteration + 1); } }
@@ -549,6 +514,30 @@ mod tests {
     }
 
     #[test]
+    fn single_pe_streams_on_every_mapping() {
+        let src = r#"pe Double : iterative { input x; output output; process { emit(x * 2); } }"#;
+        for kind in [MappingKind::Simple, MappingKind::Multi, MappingKind::Mpi, MappingKind::Redis] {
+            let recorder = laminar_dataflow::RecordingObserver::new();
+            let req = ExecutionRequest::simple("u", src, 3).with_mapping(kind, 4);
+            let out = ExecutionEngine::instant()
+                .run_controlled(
+                    &req,
+                    Some(Arc::clone(&recorder) as Arc<dyn RunObserver>),
+                    &CancelToken::new(),
+                )
+                .unwrap();
+            // No data: the iteration index feeds the PE's first input.
+            let vals: Vec<i64> =
+                out.port_values("Double", "output").iter().filter_map(Value::as_i64).collect();
+            assert_eq!(vals, vec![0, 2, 4], "{kind}");
+            let folded = laminar_dataflow::fold_events(recorder.take().into_iter().map(|(_, _, e)| e));
+            assert_eq!(folded.port_values("Double", "output"), out.port_values("Double", "output"), "{kind}");
+            assert_eq!(folded.stats.events, out.events, "{kind}");
+            assert!(out.first_output.is_some() && out.stages.enact > Duration::ZERO, "{kind}");
+        }
+    }
+
+    #[test]
     fn resources_staged_and_cleared() {
         let src = r#"
             pe Reader : producer {
@@ -572,30 +561,42 @@ mod tests {
     }
 
     #[test]
-    fn single_pe_unbounded_rejected_and_workflow_unbounded_cancels() {
-        // FaaS path: unbounded input is a structural error.
-        let src = "pe Gen : producer { output output; process { emit(iteration); } }";
-        let mut engine = ExecutionEngine::instant();
-        let req = ExecutionRequest::simple("u", src, 0).with_unbounded(Duration::from_micros(100));
-        let err = engine.run(&req).unwrap_err();
-        assert!(matches!(err, DataflowError::Options(_)), "{err}");
-
-        // Workflow path: runs until the token fires, then reports
-        // Cancelled (not a failure).
-        let token = CancelToken::new();
-        let wf = r#"
+    fn single_pe_and_workflow_unbounded_runs_cancel_cleanly() {
+        // Both paths run until the token fires, stream outputs meanwhile,
+        // then report Cancelled (not a failure) with the stream sealed by
+        // exactly one Cancelled marker.
+        let single_pe = "pe Gen : producer { output output; process { emit(iteration); } }";
+        let workflow = r#"
             pe Gen : producer { output output; process { emit(iteration); } }
             workflow Forever { nodes { g = Gen; } }
         "#;
-        let req = ExecutionRequest::simple("u", wf, 0).with_unbounded(Duration::from_micros(100));
-        let handle = {
-            let token = token.clone();
-            std::thread::spawn(move || ExecutionEngine::instant().run_controlled(&req, None, &token))
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        token.cancel();
-        let result = handle.join().unwrap();
-        assert_eq!(result.unwrap_err(), DataflowError::Cancelled);
+        for src in [single_pe, workflow] {
+            let token = CancelToken::new();
+            let recorder = laminar_dataflow::RecordingObserver::new();
+            let req = ExecutionRequest::simple("u", src, 0).with_unbounded(Duration::from_micros(100));
+            let handle = {
+                let (token, observer) = (token.clone(), Arc::clone(&recorder) as Arc<dyn RunObserver>);
+                std::thread::spawn(move || {
+                    ExecutionEngine::instant().run_controlled(&req, Some(observer), &token)
+                })
+            };
+            let outputs = |events: &[(u64, Duration, RunEvent)]| {
+                events.iter().filter(|(_, _, e)| matches!(e, RunEvent::Output { .. })).count()
+            };
+            let mut seen = Vec::new();
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while outputs(&seen) < 5 {
+                assert!(Instant::now() < deadline, "unbounded run never produced");
+                std::thread::sleep(Duration::from_millis(1));
+                seen.extend(recorder.take());
+            }
+            token.cancel();
+            assert_eq!(handle.join().unwrap().unwrap_err(), DataflowError::Cancelled);
+            seen.extend(recorder.take());
+            let cancelled = seen.iter().filter(|(_, _, e)| *e == RunEvent::Cancelled).count();
+            assert_eq!(cancelled, 1, "exactly one Cancelled marker");
+            assert!(matches!(seen.last(), Some((_, _, RunEvent::Cancelled))), "Cancelled seals the stream");
+        }
     }
 
     #[test]

@@ -855,6 +855,8 @@ struct PoolInner {
     work_cv: Condvar,
     /// Result waiters wait here (paired with `jobs`).
     done_cv: Condvar,
+    /// Set once by [`EnginePool::stop`], and only while holding `queue`:
+    /// workers read it under that lock before parking on `work_cv`.
     shutdown: AtomicBool,
     capacity: usize,
     /// Per-job epoch journals (durable pools only). Jobs with
@@ -1344,7 +1346,15 @@ impl EnginePool {
     /// first and stay `done`); all worker threads are joined. Idempotent
     /// — [`Drop`] calls this too.
     pub fn stop(&mut self) {
-        self.inner.shutdown.store(true, Ordering::SeqCst);
+        // Invariant: `shutdown` changes only under `queue`, the lock its
+        // waiters read it under. Stored outside that lock, the flag and the
+        // notify below can both land between a worker's check and its
+        // `wait` — a lost wake-up that parks the worker forever and hangs
+        // the join at the end of this function.
+        {
+            let _queue = self.inner.queue.lock();
+            self.inner.shutdown.store(true, Ordering::SeqCst);
+        }
         self.inner.work_cv.notify_all();
         // Cancel everything a worker hasn't picked. A job popped before
         // the flag landed terminates through its token — either way every

@@ -81,9 +81,9 @@ pub struct ExecutionRequest {
     pub user: String,
     /// LamScript source defining the PEs and the workflow to run.
     pub source: String,
-    /// Workflow name inside the source; `None` runs the only workflow
-    /// present, or a single PE if the source defines exactly one PE and no
-    /// workflow (the FaaS-style path of §3.4.1).
+    /// Workflow name inside the source. `None` runs the first workflow the
+    /// source declares, or — when it declares no workflow and exactly one
+    /// PE — that PE as a one-node workflow (the FaaS-style path of §3.4.1).
     pub workflow: Option<String>,
     /// Mapping to enact with.
     pub mapping: MappingKind,

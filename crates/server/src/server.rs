@@ -1162,8 +1162,7 @@ mod tests {
     fn cancel_endpoint_stops_a_running_unbounded_job() {
         let s = server_with_user();
         // An unbounded producer: runs until cancelled, streaming outputs.
-        // (Wrapped in a workflow: only workflow enactments stream, the
-        // single-PE FaaS path rejects unbounded input.)
+        // (A one-node workflow; a bare single-PE request runs the same way.)
         let src = r#"
             pe Gen : producer { output o; process { emit(iteration); } }
             workflow Forever { nodes { g = Gen; } }

@@ -423,6 +423,64 @@ fn cancel_unbounded_sensor_run_via_client_on_all_mappings() {
 }
 
 #[test]
+fn single_pe_job_streams_folds_and_cancels() {
+    // A single-PE (FaaS, paper §3.4.1) request runs as a one-node
+    // workflow: its event stream folds to the job result, and an
+    // unbounded single-PE job streams live until cancelled.
+    use laminar::dataflow::{fold_events, RunEvent};
+    use std::time::Duration;
+
+    let mut sys = system(Deployment::Test);
+    let c = login(&mut sys, "faas");
+    let src = r#"pe Classify : iterative {
+        input n; output output;
+        process { if n % 3 == 0 { print("fizz", n); } emit([n, n % 2 == 0]); }
+    }"#;
+
+    // Bounded, events on: fold(streamed events) == job_result.
+    let id = c
+        .submit(laminar::client::RunTarget::Source(src.into()), RunConfig::iterations(12).with_events(true))
+        .unwrap();
+    let events: Vec<Value> =
+        c.event_stream(id, Duration::from_secs(30)).collect::<Result<_, _>>().expect("stream completes");
+    assert_eq!(events.last().unwrap()["type"].as_str(), Some("done"));
+    let folded = fold_events(events.iter().filter_map(RunEvent::from_value));
+    let result = c.job_result(id).unwrap().expect("job finished");
+    assert_eq!(folded.port_values("Classify", "output"), result.port_values("Classify", "output").as_slice());
+    assert_eq!(folded.port_values("Classify", "output").len(), 12);
+    assert_eq!(folded.printed, result.printed);
+    assert_eq!(folded.stats.processed, result.processed);
+    assert_eq!(folded.stats.events, result.events);
+
+    // Unbounded: streams at least N outputs, then the consumer cancels and
+    // the stream ends in exactly one `cancelled` marker.
+    const N: usize = 5;
+    let id = c
+        .submit(
+            laminar::client::RunTarget::Source(src.into()),
+            RunConfig::unbounded(Duration::from_micros(200)),
+        )
+        .unwrap();
+    let mut stream = c.event_stream(id, Duration::from_secs(60));
+    let mut types: Vec<String> = Vec::new();
+    let mut outputs = 0usize;
+    while let Some(event) = stream.next() {
+        let event = event.unwrap_or_else(|e| panic!("stream error {e}"));
+        if event["type"].as_str() == Some("output") {
+            outputs += 1;
+            if outputs == N {
+                stream.cancel().unwrap();
+            }
+        }
+        types.push(event["type"].as_str().unwrap_or_default().to_string());
+    }
+    assert!(outputs >= N, "only {outputs} outputs streamed before the seal");
+    assert_eq!(types.last().map(String::as_str), Some("cancelled"), "sealed by the cancelled marker");
+    assert_eq!(types.iter().filter(|t| *t == "cancelled").count(), 1);
+    assert_eq!(c.job_status(id).unwrap()["status"].as_str(), Some("cancelled"));
+}
+
+#[test]
 fn cancel_unbounded_job_over_real_tcp() {
     // The DELETE verb and the cancel lifecycle through the actual HTTP
     // front-end (request-line parsing, percent-decoding, connection
