@@ -16,8 +16,11 @@
 #                VM-vs-interpreter differential suite) at a reduced
 #                case count (PROPTEST_CASES=8)
 #   stress       the concurrency stress suite (unrestricted test threads),
-#                the registry search-index differential proptests, and the
-#                EnginePool start->drop shutdown stress test
+#                the registry search-index differential proptests (the
+#                block-scale one included), the embedding and registry
+#                crates' tests built optimised (unsafe SIMD kernels must
+#                hold under --release), and the EnginePool start->drop
+#                shutdown stress test
 #   streaming    streaming + cancellation scenario tiers, including the
 #                single-PE (FaaS) streaming/cancel tests
 #   chaos        durability fault-injection suite at full proptest depth:
@@ -56,8 +59,12 @@ tier_test_quick() {
 tier_stress() {
   cargo test -q -p laminar-server --test concurrent
   # Registry search differential: indexed answers must equal the linear
-  # scan under randomized mutation histories, and survive WAL replay.
+  # scan under randomized mutation histories, at block scale, and survive
+  # WAL replay.
   cargo test -q -p laminar-registry --test proptest_search
+  # The sparse and dense dot kernels are unsafe SIMD: their bit-exactness
+  # tests (and the registry's, which lean on them) also run optimised.
+  cargo test --release -q -p laminar-embed -p laminar-registry
   # Lost wake-up guard: start->drop cycles under load, with a watchdog.
   cargo test -q -p laminar-engine --test stop_stress
 }
@@ -110,7 +117,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,31p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

@@ -33,7 +33,8 @@
 //!   full run must additionally hold the tighter 0.5× ratio it was
 //!   gated on when it was produced;
 //! * **registry search** — `search_scale` indexed-vs-scan speedup must
-//!   stay at or above [`SEARCH_SPEEDUP_FLOOR`] per mode, indexed p99
+//!   stay at or above [`SEARCH_SPEEDUP_FLOOR`] per mode (semantic, code
+//!   and text), indexed p99
 //!   at or below [`SEARCH_P99_CEILING_US`], per-registration index
 //!   maintenance at or below [`INDEX_MAINTENANCE_CEILING`], and the
 //!   indexed hits must match the scan oracle exactly (all from the same
@@ -269,7 +270,7 @@ fn main() {
     // Registry search: indexed-vs-scan speedup, indexed tail latency,
     // index-maintenance overhead and the differential oracle verdict —
     // all fresh-vs-fresh from the same search_scale smoke run.
-    for mode in ["semantic", "text"] {
+    for mode in ["semantic", "code", "text"] {
         let metric = |key: &str| {
             search[mode][key]
                 .as_f64()

@@ -16,6 +16,7 @@
 //! baseline a read waits for the running job; on the pooled server it
 //! answers immediately from the registry read lock.
 
+use laminar_bench::report_path;
 use laminar_client::{LaminarClient, RunConfig, RunTarget};
 use laminar_engine::ExecutionEngine;
 use laminar_json::Value;
@@ -197,7 +198,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let flag_value =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR3.json".to_string());
+    let out_path = report_path(flag_value("--out"), smoke, "BENCH_PR3.json", "bench_concurrent_smoke.json");
 
     let sc = Scenario {
         clients: if smoke { 4 } else { 8 },

@@ -16,6 +16,7 @@
 //! no committed baseline — it guards the *structure* (an epoch must cost
 //! a snapshot and a reconnect, not a re-enactment), not machine speed.
 
+use laminar_bench::report_path;
 use laminar_dataflow::mapping::MappingKind;
 use laminar_dataflow::{
     DataflowError, FaultPlan, RecordingObserver, ResumePoint, RunEvent, RunObserver, RunOptions,
@@ -135,7 +136,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let flag_value =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR7.json".to_string());
+    let out_path = report_path(flag_value("--out"), smoke, "BENCH_PR7.json", "bench_durability_smoke.json");
 
     let iterations: i64 = if smoke { 20_000 } else { 40_000 };
     let chunk: usize = if smoke { 5_000 } else { 8_000 };

@@ -24,7 +24,7 @@
 //! file.
 
 use laminar_bench::{
-    astro_graph, bench_mapping, figure1_graph, figure1_script_graph, BenchRun, Table5Config,
+    astro_graph, bench_mapping, figure1_graph, figure1_script_graph, report_path, BenchRun, Table5Config,
 };
 use laminar_dataflow::MappingKind;
 use laminar_dataflow::RunOptions;
@@ -52,7 +52,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let flag_value =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR6.json".to_string());
+    let out_path = report_path(flag_value("--out"), smoke, "BENCH_PR6.json", "bench_smoke.json");
     let baseline_out = flag_value("--save-baseline");
 
     // figure1: the paper's showcase deployment is 500 iterations over

@@ -4,8 +4,9 @@
 //! 100k PEs on the full run), then answers the same query pool twice per
 //! mode — once through the incremental search index, once through the
 //! linear-scan oracle (`force_scan`) — and reports p50/p99 wall latency
-//! plus the indexed-vs-scan speedup for both the semantic (embedding
-//! top-k) and text (inverted-token) paths. A separate pass times PE
+//! plus the indexed-vs-scan speedup for the semantic (768-dim
+//! description space) and code (1024-dim completion space) embedding
+//! top-k paths and the text (inverted-token) path. A separate pass times PE
 //! registration with the index enabled vs. disabled to price the
 //! incremental maintenance the write path now pays. Every measured query
 //! pair is also compared hit-for-hit, so the run doubles as a
@@ -13,8 +14,7 @@
 //!
 //! ```text
 //! cargo run -p laminar-bench --release --bin search_scale                  # full, writes BENCH_PR9.json
-//! cargo run -p laminar-bench --release --bin search_scale -- --smoke \
-//!     --out target/bench_search_smoke.json
+//! cargo run -p laminar-bench --release --bin search_scale -- --smoke      # writes target/bench_search_smoke.json
 //! ```
 //!
 //! Full runs enforce the PR-9 acceptance gates in-process (indexed p99
@@ -22,7 +22,7 @@
 //! match); smoke runs only emit the report, which `bench_check` then
 //! gates with looser smoke-sized bounds.
 
-use laminar_bench::percentile;
+use laminar_bench::{percentile, report_path};
 use laminar_json::Value;
 use laminar_registry::{QueryType, Registry, SearchOptions, SearchType};
 use std::time::Instant;
@@ -74,6 +74,18 @@ const SEMANTIC_QUERIES: [&str; 6] = [
 /// name-fragment and no-match shapes.
 const TEXT_QUERIES: [&str; 6] =
     ["prime", "sensor anomaly", "wavelet", "scale0x1", "stream window", "zzz-none"];
+
+/// Code queries (SearchType::Pe + QueryType::Code): embedded with the
+/// completion model, then ranked by cosine over the stored code
+/// embeddings. Fragments of the generated sources plus unrelated code.
+const CODE_QUERIES: [&str; 6] = [
+    "emit(x * 3 +",
+    "process { emit(x",
+    "input x; output output;",
+    "pe Scale3x7 : iterative",
+    "if x % 2 == 0 { emit(x); }",
+    "print(\"done\")",
+];
 
 fn pe_name(tenant: usize, i: usize) -> String {
     format!("Scale{tenant}x{i}")
@@ -215,7 +227,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let flag_value =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR9.json".to_string());
+    let out_path = report_path(flag_value("--out"), smoke, "BENCH_PR9.json", "bench_search_smoke.json");
 
     // Corpus shape is overridable (`--tenants N --per-tenant M`) for quick
     // profiling runs; defaults are the committed configurations.
@@ -242,14 +254,16 @@ fn main() {
         (0..tenants.min(8)).map(|k| format!("tenant{}", k * tenants / tenants.min(8))).collect();
 
     let semantic = measure_mode(&reg, &sample, &SEMANTIC_QUERIES, SearchType::Pe, QueryType::Text, reps);
+    let code = measure_mode(&reg, &sample, &CODE_QUERIES, SearchType::Pe, QueryType::Code, reps);
     let text = measure_mode(&reg, &sample, &TEXT_QUERIES, SearchType::Both, QueryType::Text, reps);
     let (indexed_per_pe, baseline_per_pe) = registration_overhead(overhead_sample, if smoke { 2 } else { 3 });
     let overhead_ratio = indexed_per_pe / baseline_per_pe.max(1e-9);
-    let differential_match = semantic.mismatches == 0 && text.mismatches == 0;
+    let differential_match = semantic.mismatches == 0 && code.mismatches == 0 && text.mismatches == 0;
 
     let semantic_v = semantic.into_value();
+    let code_v = code.into_value();
     let text_v = text.into_value();
-    for (name, v) in [("semantic", &semantic_v), ("text", &text_v)] {
+    for (name, v) in [("semantic", &semantic_v), ("code", &code_v), ("text", &text_v)] {
         eprintln!(
             "  {:<8} indexed p50 {:>6}us p99 {:>6}us | scan p50 {:>7}us p99 {:>7}us | speedup {:>6.2}x",
             name,
@@ -272,6 +286,8 @@ fn main() {
         .set("pes_per_tenant", per_tenant as i64)
         .set("total_pes", (tenants * per_tenant) as i64)
         .set("queries_per_mode", (sample.len() * SEMANTIC_QUERIES.len()) as i64)
+        .set("reps", reps as i64)
+        .set("nproc", std::thread::available_parallelism().map_or(1, |n| n.get()) as i64)
         .set("smoke", smoke);
     let mut registration = Value::Null;
     registration
@@ -284,6 +300,7 @@ fn main() {
         .set("report", "search_scale")
         .set("config", config)
         .set("semantic", semantic_v)
+        .set("code", code_v)
         .set("text", text_v)
         .set("registration", registration)
         .set("differential_match", differential_match);
@@ -305,10 +322,13 @@ fn main() {
             }
         };
         gate("differential_match", differential_match);
-        gate("semantic indexed p99 < 1000us", report["semantic"]["indexed_p99_us"].as_i64().unwrap() < 1000);
-        gate("text indexed p99 < 1000us", report["text"]["indexed_p99_us"].as_i64().unwrap() < 1000);
-        gate("semantic speedup >= 5x", report["semantic"]["speedup"].as_f64().unwrap() >= 5.0);
-        gate("text speedup >= 5x", report["text"]["speedup"].as_f64().unwrap() >= 5.0);
+        for mode in ["semantic", "code", "text"] {
+            gate(
+                &format!("{mode} indexed p99 < 1000us"),
+                report[mode]["indexed_p99_us"].as_i64().unwrap() < 1000,
+            );
+            gate(&format!("{mode} speedup >= 5x"), report[mode]["speedup"].as_f64().unwrap() >= 5.0);
+        }
         gate("registration overhead <= 1.25x", overhead_ratio <= 1.25);
     }
 }

@@ -23,6 +23,7 @@
 //! gate needs no committed baseline — it guards the *policy* (throttle,
 //! don't drop), not machine speed.
 
+use laminar_bench::report_path;
 use laminar_dataflow::{fold_events, RunEvent};
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult};
 use laminar_json::Value;
@@ -153,7 +154,8 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let flag_value =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR8.json".to_string());
+    let out_path =
+        report_path(flag_value("--out"), smoke, "BENCH_PR8.json", "bench_slow_consumer_smoke.json");
 
     let iterations: i64 = if smoke { 600 } else { 3_000 };
     let checkpoint_every: usize = if smoke { 25 } else { 100 };

@@ -16,6 +16,7 @@
 //! paper-shaped property: first result in **< 25% of total runtime** for
 //! the Multi mapping (and records every mapping's ratio).
 
+use laminar_bench::report_path;
 use laminar_dataflow::mapping::MappingKind;
 use laminar_dataflow::{RecordingObserver, RunEvent, RunObserver, RunOptions};
 use laminar_json::Value;
@@ -131,7 +132,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let flag_value =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR4.json".to_string());
+    let out_path = report_path(flag_value("--out"), smoke, "BENCH_PR4.json", "bench_streaming_smoke.json");
 
     let sc = Scenario {
         readings: if smoke { 240 } else { 600 },

@@ -32,7 +32,7 @@
 //! run in CI against the same bounds (0.75× for the latency ratio —
 //! smoke samples are small).
 
-use laminar_bench::percentile;
+use laminar_bench::{percentile, report_path};
 use laminar_engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobPhase, PoolError};
 use laminar_json::Value;
 use laminar_server::api::Method;
@@ -325,7 +325,7 @@ fn main() {
     let smoke = args.iter().any(|a| a == "--smoke");
     let flag_value =
         |name: &str| args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::to_string);
-    let out_path = flag_value("--out").unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    let out_path = report_path(flag_value("--out"), smoke, "BENCH_PR10.json", "bench_sustained_smoke.json");
 
     let tenants: usize = 16;
     let jobs_per_tenant: usize = if smoke { 24 } else { 625 };

@@ -318,9 +318,29 @@ pub fn percentile(sorted: &[u64], p: f64) -> u64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
+/// Where a bench binary writes its report: `--out` when given, else
+/// `target/<smoke_name>` for a `--smoke` run (the path `ci.sh` passes),
+/// else the committed `BENCH_PR*.json` a full run regenerates. A smoke
+/// run therefore never overwrites a committed report, several of which
+/// `bench_check` reads as baselines.
+pub fn report_path(out: Option<String>, smoke: bool, committed: &str, smoke_name: &str) -> String {
+    out.unwrap_or_else(|| if smoke { format!("target/{smoke_name}") } else { committed.to_string() })
+}
+
 #[cfg(test)]
 mod tests {
-    use super::percentile;
+    use super::{percentile, report_path};
+
+    #[test]
+    fn smoke_reports_never_default_to_committed_files() {
+        let path = |out: Option<&str>, smoke| {
+            report_path(out.map(str::to_string), smoke, "BENCH_PR9.json", "bench_search_smoke.json")
+        };
+        assert_eq!(path(None, true), "target/bench_search_smoke.json");
+        assert_eq!(path(None, false), "BENCH_PR9.json");
+        assert_eq!(path(Some("x.json"), true), "x.json");
+        assert_eq!(path(Some("x.json"), false), "x.json");
+    }
 
     #[test]
     fn percentile_is_nearest_rank() {

@@ -4,8 +4,10 @@
 use crate::entities::{PeEntity, UserEntity, WorkflowEntity};
 use crate::error::RegistryError;
 use crate::index::SearchIndex;
+use crate::search::ScanFallbacks;
 use crate::store::Store;
 use crate::wal::{ops, WalStore};
+use laminar_json::Value;
 
 /// DAO facade bundling the store, its journal and the search index.
 ///
@@ -21,6 +23,7 @@ pub struct Dao {
     /// The journal.
     pub wal: WalStore,
     index: SearchIndex,
+    fallbacks: ScanFallbacks,
 }
 
 impl Dao {
@@ -28,12 +31,18 @@ impl Dao {
     /// the store.
     pub fn new(store: Store, wal: WalStore) -> Dao {
         let index = SearchIndex::build(&store);
-        Dao { store, wal, index }
+        Dao { store, wal, index, fallbacks: ScanFallbacks::default() }
     }
 
     /// The search index (query side).
     pub fn index(&self) -> &SearchIndex {
         &self.index
+    }
+
+    /// Why searches ran the linear scan instead of the index. Survives
+    /// [`set_index_enabled`](Dao::set_index_enabled).
+    pub fn fallbacks(&self) -> &ScanFallbacks {
+        &self.fallbacks
     }
 
     /// Enable or disable index maintenance. Disabling drops the index
@@ -118,26 +127,31 @@ impl Dao {
         PeEntity::from_row(row).ok_or(RegistryError::Storage("corrupt PE row".into()))
     }
 
-    /// The hit-visible fields of a PE row — `(name, description,
-    /// description_generated)` — read straight off the stored row.
-    /// The winners' materialization path after ranking: unlike
-    /// [`pe_by_id`](Dao::pe_by_id) it decodes neither embedding vector
-    /// nor the code blob, which dominate `from_row` cost and are not
-    /// part of a [`SearchHit`](crate::SearchHit).
-    pub fn pe_hit_fields(&self, id: i64) -> Option<(String, String, bool)> {
-        let row = self.store.pes.get(id)?;
-        Some((
-            row["peName"].as_str()?.to_string(),
-            row["description"].as_str().unwrap_or("").to_string(),
-            row["descriptionGenerated"].as_bool().unwrap_or(false),
-        ))
+    /// The stored row of a PE, undecoded. Search reads single fields off
+    /// it: a hit needs neither embedding vector nor the code blob, which
+    /// dominate [`PeEntity::from_row`] cost.
+    pub fn pe_row(&self, id: i64) -> Option<&Value> {
+        self.store.pes.get(id)
     }
 
-    /// The hit-visible fields of a workflow row — `(entry_point,
-    /// description)` — without materializing the full entity.
-    pub fn workflow_hit_fields(&self, id: i64) -> Option<(String, String)> {
-        let row = self.store.workflows.get(id)?;
-        Some((row["entryPoint"].as_str()?.to_string(), row["description"].as_str().unwrap_or("").to_string()))
+    /// `(peId, row)` for every PE a user owns, ascending id, undecoded.
+    pub fn pe_rows_of_user(&self, user_id: i64) -> impl Iterator<Item = (i64, &Value)> + '_ {
+        self.store.user_pes.rights_of(user_id).into_iter().filter_map(|id| Some((id, self.pe_row(id)?)))
+    }
+
+    /// The stored row of a workflow, undecoded.
+    pub fn workflow_row(&self, id: i64) -> Option<&Value> {
+        self.store.workflows.get(id)
+    }
+
+    /// `(workflowId, row)` for every workflow a user owns, ascending id,
+    /// undecoded.
+    pub fn workflow_rows_of_user(&self, user_id: i64) -> impl Iterator<Item = (i64, &Value)> + '_ {
+        self.store
+            .user_workflows
+            .rights_of(user_id)
+            .into_iter()
+            .filter_map(|id| Some((id, self.workflow_row(id)?)))
     }
 
     /// PE by unique name.

@@ -15,13 +15,15 @@
 //!   scan — no row touched until hit materialization. Multi-token
 //!   needles fall back to a substring scan over the *cached* normalized
 //!   fields, still never re-normalizing or re-parsing a row.
-//! * **Semantic / code** — per-user structure-of-arrays `f32` matrices
-//!   (one row per PE, `desc`/`code` embedding spaces kept separately)
-//!   with per-row L2 norms cached at insert. Ranking is one fused
-//!   dot/norm cosine kernel pass and a bounded top-`k` heap: no entity
-//!   clone, no JSON parse, no full sort. Matrices live behind `Arc`, so
-//!   cloning an index (e.g. snapshotting for an offline consumer) shares
-//!   the vector storage copy-on-write.
+//! * **Semantic / code** — per-user `f32` matrices (one row per PE,
+//!   `desc`/`code` embedding spaces kept separately) with per-row L2
+//!   norms cached at insert, stored in blocks of [`BLOCK_ROWS`] rows,
+//!   dimension-major within a block. Ranking runs the sparse block
+//!   kernel ([`SparseQuery`]), which reads only the query's non-zero
+//!   dimensions, into a bounded top-`k` heap: no entity clone, no JSON
+//!   parse, no full sort. Matrices live behind `Arc`, so cloning an
+//!   index (e.g. snapshotting for an offline consumer) shares the
+//!   vector storage copy-on-write.
 //!
 //! **Consistency.** The index is owned by the DAO and mutated in the
 //! same call that journals the mutation, under the registry's outer
@@ -33,8 +35,9 @@
 //! bit-identical to the pre-crash ones.
 //!
 //! **Exactness.** Every query path here is an exact replacement for the
-//! linear scan it shadows — same hits, same scores (the scan and the
-//! index share one cosine kernel), same score-then-id order — which is
+//! linear scan it shadows — same hits, same scores (the sparse kernel
+//! returns the bits of the scan's dense `dot`), same score-then-id
+//! order — which is
 //! pinned by the differential proptest in `tests/proptest_search.rs`.
 //! When a user's vectors are heterogeneous in dimension (possible only
 //! for hand-built entities; real models are fixed-dimension) the vector
@@ -43,7 +46,7 @@
 use crate::entities::{PeEntity, WorkflowEntity};
 use crate::search::normalize_text;
 use crate::store::Store;
-use laminar_embed::embedding::{cosine_prenorm, l2_norm, TopK};
+use laminar_embed::embedding::{cosine_from_dot, cosine_prenorm, l2_norm, SparseQuery, TopK, BLOCK_ROWS};
 use laminar_embed::Embedding;
 use laminar_json::Value;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -59,11 +62,11 @@ pub enum VecField {
 }
 
 impl VecField {
-    /// Project the field out of an entity.
-    pub fn of(self, pe: &PeEntity) -> &Embedding {
+    /// The stored row column holding this field.
+    pub fn column(self) -> &'static str {
         match self {
-            VecField::Desc => &pe.desc_embedding,
-            VecField::Code => &pe.code_embedding,
+            VecField::Desc => "descEmbedding",
+            VecField::Code => "codeEmbedding",
         }
     }
 }
@@ -141,13 +144,26 @@ impl TextIndex {
     }
 }
 
-/// Per-user dense-vector matrix for one embedding space: row-major
-/// structure-of-arrays with cached norms and a dense-row ↔ peId map.
+/// Per-user dense-vector matrix for one embedding space, with cached
+/// norms and a dense-row ↔ peId map.
+///
+/// Rows live in fixed-width blocks of [`BLOCK_ROWS`], dimension-major
+/// within a block, so a query reads only its non-zero dimensions
+/// ([`SparseQuery`]). The rows after the last full block stay row-major
+/// and are scored with the dense kernel; the block is transposed in
+/// when it fills and out again when a removal empties the row-major
+/// tail. Either way every row is stored once: no padding.
 #[derive(Debug, Clone)]
 struct VecIndex {
     dim: usize,
-    /// `ids.len() * dim` floats, row-major; Arc for copy-on-write shares.
-    data: Arc<Vec<f32>>,
+    /// `ids.len() / BLOCK_ROWS` full blocks of `dim * BLOCK_ROWS` floats:
+    /// dimension `d` of row `b * BLOCK_ROWS + j` at
+    /// `b * dim * BLOCK_ROWS + d * BLOCK_ROWS + j`. Arc for
+    /// copy-on-write shares.
+    blocks: Arc<Vec<f32>>,
+    /// The `ids.len() % BLOCK_ROWS` rows after the last full block,
+    /// row-major.
+    tail: Arc<Vec<f32>>,
     /// Per-row L2 norm, computed once at insert by the same kernel the
     /// scoring kernel divides by — scores stay bit-identical to a
     /// from-scratch cosine.
@@ -165,7 +181,8 @@ impl Default for VecIndex {
     fn default() -> Self {
         VecIndex {
             dim: 0,
-            data: Arc::new(Vec::new()),
+            blocks: Arc::new(Vec::new()),
+            tail: Arc::new(Vec::new()),
             norms: Arc::new(Vec::new()),
             ids: Vec::new(),
             row_of: HashMap::new(),
@@ -175,6 +192,11 @@ impl Default for VecIndex {
 }
 
 impl VecIndex {
+    /// Rows stored in full blocks; rows from here on are in the tail.
+    fn blocked_rows(&self) -> usize {
+        self.ids.len() / BLOCK_ROWS * BLOCK_ROWS
+    }
+
     fn add(&mut self, id: i64, e: &Embedding) {
         if self.row_of.contains_key(&id) {
             self.remove(id);
@@ -186,33 +208,62 @@ impl VecIndex {
             self.degraded = true;
             return;
         }
-        Arc::make_mut(&mut self.data).extend_from_slice(&e.values);
+        Arc::make_mut(&mut self.tail).extend_from_slice(&e.values);
         Arc::make_mut(&mut self.norms).push(l2_norm(&e.values));
         self.row_of.insert(id, self.ids.len());
         self.ids.push(id);
+        if self.ids.len().is_multiple_of(BLOCK_ROWS) {
+            // The tail is a full block: transpose it in.
+            let tail = Arc::make_mut(&mut self.tail);
+            let blocks = Arc::make_mut(&mut self.blocks);
+            let start = blocks.len();
+            blocks.resize(start + tail.len(), 0.0);
+            transpose(&tail[..], &mut blocks[start..], BLOCK_ROWS, self.dim);
+            tail.clear();
+        }
     }
 
     /// Swap-remove: the last row moves into the vacated slot.
     fn remove(&mut self, id: i64) {
         let Some(row) = self.row_of.remove(&id) else { return };
+        let dim = self.dim;
+        let tail = Arc::make_mut(&mut self.tail);
+        let blocks = Arc::make_mut(&mut self.blocks);
+        if self.ids.len().is_multiple_of(BLOCK_ROWS) {
+            // The last row sits in a full block: transpose that block
+            // back out into the (empty) tail first.
+            let start = blocks.len() - dim * BLOCK_ROWS;
+            tail.resize(dim * BLOCK_ROWS, 0.0);
+            transpose(&blocks[start..], tail, dim, BLOCK_ROWS);
+            blocks.truncate(start);
+        }
         let last = self.ids.len() - 1;
-        let data = Arc::make_mut(&mut self.data);
-        let norms = Arc::make_mut(&mut self.norms);
+        let last_start = tail.len() - dim;
         if row != last {
-            let (head, tail) = data.split_at_mut(last * self.dim);
-            head[row * self.dim..(row + 1) * self.dim].copy_from_slice(&tail[..self.dim]);
+            let blocked = last / BLOCK_ROWS * BLOCK_ROWS;
+            if row >= blocked {
+                tail.copy_within(last_start.., (row - blocked) * dim);
+            } else {
+                let start = row / BLOCK_ROWS * dim * BLOCK_ROWS + row % BLOCK_ROWS;
+                for (d, &x) in tail[last_start..].iter().enumerate() {
+                    blocks[start + d * BLOCK_ROWS] = x;
+                }
+            }
+            let norms = Arc::make_mut(&mut self.norms);
             norms[row] = norms[last];
             let moved = self.ids[last];
             self.ids[row] = moved;
             self.row_of.insert(moved, row);
         }
+        tail.truncate(last_start);
+        Arc::make_mut(&mut self.norms).pop();
         self.ids.pop();
-        norms.pop();
-        data.truncate(last * self.dim);
     }
 
     /// Best `k` rows by cosine against `query`, best-first with ties
     /// toward the lower id — the oracle's sort-then-truncate order.
+    /// Full blocks go through the sparse kernel, the tail through the
+    /// dense one; both return `dot`'s bits, so scores equal the scan's.
     /// `None` when degraded or the query dimension mismatches the matrix
     /// (the scan then reproduces the legacy behaviour, including the
     /// dimension-mismatch panic).
@@ -228,14 +279,38 @@ impl VecIndex {
         }
         let qnorm = l2_norm(&query.values);
         let mut top = TopK::new(k);
-        for (row, &id) in self.ids.iter().enumerate() {
-            let start = row * self.dim;
-            let score =
-                cosine_prenorm(&query.values, qnorm, &self.data[start..start + self.dim], self.norms[row])
-                    as f64;
-            top.push(id, score);
+        let blocked = self.blocked_rows();
+        let mut scores = vec![0.0f32; blocked];
+        SparseQuery::new(&query.values).dot_blocks(&self.blocks, &mut scores);
+        for (score, &norm) in scores.iter_mut().zip(self.norms.iter()) {
+            *score = cosine_from_dot(*score, qnorm, norm);
+        }
+        for (&id, &score) in self.ids.iter().zip(&scores) {
+            top.push(id, score as f64);
+        }
+        for row in blocked..self.ids.len() {
+            let start = (row - blocked) * self.dim;
+            let values = &self.tail[start..start + self.dim];
+            top.push(self.ids[row], cosine_prenorm(&query.values, qnorm, values, self.norms[row]) as f64);
         }
         Some(top.into_sorted())
+    }
+}
+
+/// Transpose a row-major `rows × cols` matrix (`src`, row length `cols`)
+/// into `dst` as `cols × rows`, in 16 × 64 tiles so each tile's reads
+/// and writes stay within a few pages and cache lines.
+fn transpose(src: &[f32], dst: &mut [f32], rows: usize, cols: usize) {
+    debug_assert_eq!(src.len(), rows * cols);
+    debug_assert_eq!(dst.len(), rows * cols);
+    for r0 in (0..rows).step_by(16) {
+        for c0 in (0..cols).step_by(64) {
+            for c in c0..(c0 + 64).min(cols) {
+                for r in r0..(r0 + 16).min(rows) {
+                    dst[c * rows + r] = src[r * cols + c];
+                }
+            }
+        }
     }
 }
 
@@ -427,6 +502,13 @@ mod tests {
         }
     }
 
+    fn embedding_of(field: VecField, pe: &PeEntity) -> &Embedding {
+        match field {
+            VecField::Desc => &pe.desc_embedding,
+            VecField::Code => &pe.code_embedding,
+        }
+    }
+
     fn wf(id: i64, name: &str, entry: &str, desc: &str) -> WorkflowEntity {
         WorkflowEntity {
             workflow_id: id,
@@ -498,7 +580,7 @@ mod tests {
         for field in [VecField::Desc, VecField::Code] {
             let got = idx.top_pes(1, field, &q, 5).unwrap();
             let mut oracle: Vec<(i64, f64)> =
-                pes.iter().map(|p| (p.pe_id, cosine(&q, field.of(p)) as f64)).collect();
+                pes.iter().map(|p| (p.pe_id, cosine(&q, embedding_of(field, p)) as f64)).collect();
             oracle.sort_by(|a, b| {
                 b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
             });
@@ -524,6 +606,94 @@ mod tests {
             let p = pe(id, "x", "d", &[id as f32, 1.0], &[1.0, id as f32]);
             assert_eq!(score, cosine(&q, &p.desc_embedding) as f64);
         }
+    }
+
+    /// Sparse-ish deterministic vector: about a third of the dimensions
+    /// non-zero, so both the skipped and the visited terms matter.
+    fn sparse_vec(seed: i64, dim: usize) -> Vec<f32> {
+        (0..dim)
+            .map(|d| {
+                let h =
+                    (seed as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15).wrapping_add(d as u64 * 0x2545_f491);
+                let h = (h ^ (h >> 29)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                if h.is_multiple_of(3) {
+                    ((h >> 40) as f32 / (1u64 << 24) as f32) - 0.5
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    fn assert_ranks_like_scan(idx: &SearchIndex, live: &BTreeMap<i64, PeEntity>, dim: usize) {
+        for q in 0..4 {
+            let query = emb(&sparse_vec(1000 + q, dim));
+            for field in [VecField::Desc, VecField::Code] {
+                let got = idx.top_pes(1, field, &query, live.len() + 1).unwrap();
+                let mut oracle: Vec<(i64, f64)> =
+                    live.values().map(|p| (p.pe_id, cosine(&query, embedding_of(field, p)) as f64)).collect();
+                oracle.sort_by(|a, b| {
+                    b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+                });
+                assert_eq!(got, oracle, "field {field:?} diverged from scan with {} rows", live.len());
+            }
+        }
+        let user = idx.users.get(&1).unwrap();
+        for m in [&user.desc, &user.code] {
+            assert_eq!(m.blocks.len() + m.tail.len(), m.ids.len() * dim, "every row stored once, unpadded");
+            assert_eq!(m.tail.len(), m.ids.len() % BLOCK_ROWS * dim);
+        }
+    }
+
+    #[test]
+    fn blocked_rows_survive_fills_spills_and_swap_removes() {
+        // 45 dims: the AVX2 schedule's main loop, cleanup and scalar tail
+        // all carry terms.
+        let dim = 45;
+        let mut idx = SearchIndex::new();
+        let mut live = BTreeMap::new();
+        let add = |idx: &mut SearchIndex, live: &mut BTreeMap<i64, PeEntity>, id: i64| {
+            let p = pe(id, &format!("P{id}"), "d", &sparse_vec(id, dim), &sparse_vec(-id, dim));
+            idx.add_pe(1, &p);
+            live.insert(id, p);
+        };
+        // Three full blocks and a partial tail.
+        for id in 0..(3 * BLOCK_ROWS as i64 + 5) {
+            add(&mut idx, &mut live, id);
+        }
+        assert_ranks_like_scan(&idx, &live, dim);
+        // A row inside a block, with a non-empty tail: the tail's last row
+        // moves into the block.
+        for id in [3, 40, 70] {
+            idx.remove_pe(1, id);
+            live.remove(&id);
+            assert_ranks_like_scan(&idx, &live, dim);
+        }
+        // Drain the tail exactly to a block boundary, then remove from a
+        // block: the last block spills back out into the tail.
+        while !live.len().is_multiple_of(BLOCK_ROWS) {
+            let id = *live.keys().next_back().unwrap();
+            idx.remove_pe(1, id);
+            live.remove(&id);
+        }
+        assert_ranks_like_scan(&idx, &live, dim);
+        for id in [0, 1] {
+            idx.remove_pe(1, id);
+            live.remove(&id);
+            assert_ranks_like_scan(&idx, &live, dim);
+        }
+        // Refill across the boundary again, and re-add an existing id.
+        for id in 200..(200 + BLOCK_ROWS as i64) {
+            add(&mut idx, &mut live, id);
+        }
+        add(&mut idx, &mut live, 10);
+        assert_ranks_like_scan(&idx, &live, dim);
+        // Down to nothing.
+        for id in live.keys().copied().collect::<Vec<_>>() {
+            idx.remove_pe(1, id);
+            live.remove(&id);
+        }
+        assert_eq!(idx.top_pes(1, VecField::Desc, &emb(&sparse_vec(1, dim)), 5).unwrap(), vec![]);
     }
 
     #[test]

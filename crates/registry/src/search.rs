@@ -14,10 +14,12 @@
 //! so callers never see a behaviour difference.
 
 use crate::dao::Dao;
-use crate::entities::{PeEntity, WorkflowEntity};
+use crate::index::SearchIndex;
 pub use crate::index::VecField;
 use laminar_embed::models::EmbeddingModel;
-use laminar_embed::{cosine, Embedding};
+use laminar_embed::{cosine_prenorm, l2_norm, Embedding};
+use laminar_json::Value;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What to search over (the client's `search_type` parameter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -145,6 +147,36 @@ fn contains_normalized(needle_norm: &str, haystack: &str) -> bool {
     normalize_text(haystack).contains(needle_norm)
 }
 
+/// How often search ran the linear scan instead of the index, shown
+/// under `index` in `GET /registry/stats` so no fallback is silent.
+/// Atomic: searches run under the registry's read lock.
+#[derive(Debug, Default)]
+pub struct ScanFallbacks {
+    /// Index lookups that declined: a disabled index, a degraded
+    /// (mixed-dimension) matrix, or a query whose dimension mismatches
+    /// the matrix.
+    pub declines: AtomicU64,
+    /// Search requests that asked for the scan (`forceScan`).
+    pub forced: AtomicU64,
+}
+
+/// The index's answer, or `None` when the caller must scan: the request
+/// forced the scan, or the index declined (counted).
+fn from_index<T>(
+    dao: &Dao,
+    opts: &SearchOptions,
+    lookup: impl FnOnce(&SearchIndex) -> Option<T>,
+) -> Option<T> {
+    if opts.force_scan {
+        return None;
+    }
+    let answer = lookup(dao.index());
+    if answer.is_none() {
+        dao.fallbacks().declines.fetch_add(1, Ordering::Relaxed);
+    }
+    answer
+}
+
 /// Text search over workflows (Figure 6) — names, entry points and
 /// descriptions.
 pub fn text_search_workflows(dao: &Dao, user_id: i64, query: &str, opts: &SearchOptions) -> Vec<SearchHit> {
@@ -152,21 +184,19 @@ pub fn text_search_workflows(dao: &Dao, user_id: i64, query: &str, opts: &Search
     if needle.is_empty() {
         return Vec::new();
     }
-    if !opts.force_scan {
-        if let Some(ids) = dao.index().text_workflows(user_id, &needle, opts.limit) {
-            return ids.into_iter().filter_map(|id| indexed_workflow_hit(dao, id, 1.0)).collect();
-        }
+    if let Some(ids) = from_index(dao, opts, |index| index.text_workflows(user_id, &needle, opts.limit)) {
+        return ids.into_iter().filter_map(|id| workflow_hit(id, dao.workflow_row(id)?)).collect();
     }
     let mut hits = Vec::new();
-    for wf in dao.workflows_of_user(user_id) {
+    for (id, row) in dao.workflow_rows_of_user(user_id) {
         if hits.len() >= opts.limit {
             break;
         }
-        if contains_normalized(&needle, &wf.workflow_name)
-            || contains_normalized(&needle, &wf.entry_point)
-            || contains_normalized(&needle, &wf.description)
+        if ["workflowName", "entryPoint", "description"]
+            .iter()
+            .any(|field| contains_normalized(&needle, row[*field].as_str().unwrap_or("")))
         {
-            hits.push(workflow_hit(&wf, 1.0));
+            hits.extend(workflow_hit(id, row));
         }
     }
     hits
@@ -178,18 +208,19 @@ pub fn text_search_pes(dao: &Dao, user_id: i64, query: &str, opts: &SearchOption
     if needle.is_empty() {
         return Vec::new();
     }
-    if !opts.force_scan {
-        if let Some(ids) = dao.index().text_pes(user_id, &needle, opts.limit) {
-            return ids.into_iter().filter_map(|id| indexed_pe_hit(dao, id, 1.0)).collect();
-        }
+    if let Some(ids) = from_index(dao, opts, |index| index.text_pes(user_id, &needle, opts.limit)) {
+        return ids.into_iter().filter_map(|id| pe_hit(id, dao.pe_row(id)?, 1.0)).collect();
     }
     let mut hits = Vec::new();
-    for pe in dao.pes_of_user(user_id) {
+    for (id, row) in dao.pe_rows_of_user(user_id) {
         if hits.len() >= opts.limit {
             break;
         }
-        if contains_normalized(&needle, &pe.pe_name) || contains_normalized(&needle, &pe.description) {
-            hits.push(pe_hit(&pe, 1.0));
+        if ["peName", "description"]
+            .iter()
+            .any(|field| contains_normalized(&needle, row[*field].as_str().unwrap_or("")))
+        {
+            hits.extend(pe_hit(id, row, 1.0));
         }
     }
     hits
@@ -225,11 +256,12 @@ pub fn completion_search_pes(
 /// Rank a user's PEs by cosine against `query` in `field` space and
 /// materialize the best `opts.limit` as hits.
 ///
-/// Indexed path: one pass of the fused cosine kernel over the user's
-/// dense matrix into a bounded top-k heap; the scan path scores every
-/// cloned entity and sorts. Both share the same kernel and the same
-/// `(score desc, id asc)` order, so their results are identical — only
-/// the winners' name/description strings are ever cloned into hits.
+/// Indexed path: the sparse block kernel over the user's blocked matrix
+/// into a bounded top-k heap. Scan path: decode just the scored
+/// embedding of every stored row into one reused buffer, score it with
+/// the dense kernel and sort. The two kernels return the same bits and
+/// both orders are `(score desc, id asc)`, so the results are identical;
+/// only the winners' name/description strings are ever cloned into hits.
 pub fn ranked_pe_hits(
     dao: &Dao,
     user_id: i64,
@@ -237,52 +269,53 @@ pub fn ranked_pe_hits(
     field: VecField,
     opts: &SearchOptions,
 ) -> Vec<SearchHit> {
-    if !opts.force_scan {
-        if let Some(ranked) = dao.index().top_pes(user_id, field, query, opts.limit) {
-            return ranked.into_iter().filter_map(|(id, score)| indexed_pe_hit(dao, id, score)).collect();
+    let scored = match from_index(dao, opts, |index| index.top_pes(user_id, field, query, opts.limit)) {
+        Some(ranked) => ranked,
+        None => {
+            let qnorm = l2_norm(&query.values);
+            let mut values = Vec::new();
+            let mut scored: Vec<(i64, f64)> = Vec::new();
+            for (id, row) in dao.pe_rows_of_user(user_id) {
+                if Embedding::decode_into(&row[field.column()], &mut values).is_none() {
+                    continue;
+                }
+                assert_eq!(query.dim(), values.len(), "cosine over mismatched dimensions");
+                scored.push((id, cosine_prenorm(&query.values, qnorm, &values, l2_norm(&values)) as f64));
+            }
+            scored.sort_by(|a, b| {
+                b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal).then(a.0.cmp(&b.0))
+            });
+            scored.truncate(opts.limit);
+            scored
         }
-    }
-    let pes = dao.pes_of_user(user_id);
-    let mut scored: Vec<(f64, i64, usize)> =
-        pes.iter().enumerate().map(|(i, pe)| (cosine(query, field.of(pe)) as f64, pe.pe_id, i)).collect();
-    scored.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap_or(std::cmp::Ordering::Equal).then(a.1.cmp(&b.1)));
-    scored.truncate(opts.limit);
-    scored.into_iter().map(|(score, _, i)| pe_hit(&pes[i], score)).collect()
+    };
+    scored.into_iter().filter_map(|(id, score)| pe_hit(id, dao.pe_row(id)?, score)).collect()
 }
 
-/// Winner materialization for the indexed paths: hit fields straight off
-/// the stored row, skipping the embedding/code decode `from_row` pays.
-/// Field-for-field identical to `pe_hit(&dao.pe_by_id(id)?, score)`.
-fn indexed_pe_hit(dao: &Dao, id: i64, score: f64) -> Option<SearchHit> {
-    let (name, description, auto_described) = dao.pe_hit_fields(id)?;
-    Some(SearchHit { id, name, kind: "pe", description, auto_described, score })
-}
-
-fn indexed_workflow_hit(dao: &Dao, id: i64, score: f64) -> Option<SearchHit> {
-    let (name, description) = dao.workflow_hit_fields(id)?;
-    Some(SearchHit { id, name, kind: "workflow", description, auto_described: false, score })
-}
-
-fn pe_hit(pe: &PeEntity, score: f64) -> SearchHit {
-    SearchHit {
-        id: pe.pe_id,
-        name: pe.pe_name.clone(),
+/// A PE hit read straight off its stored row: no embedding or code
+/// decode.
+fn pe_hit(id: i64, row: &Value, score: f64) -> Option<SearchHit> {
+    Some(SearchHit {
+        id,
+        name: row["peName"].as_str()?.to_string(),
         kind: "pe",
-        description: pe.description.clone(),
-        auto_described: pe.description_generated,
+        description: row["description"].as_str().unwrap_or("").to_string(),
+        auto_described: row["descriptionGenerated"].as_bool().unwrap_or(false),
         score,
-    }
+    })
 }
 
-fn workflow_hit(wf: &WorkflowEntity, score: f64) -> SearchHit {
-    SearchHit {
-        id: wf.workflow_id,
-        name: wf.entry_point.clone(),
+/// A workflow hit read straight off its stored row; workflows are named
+/// by entry point and always match text with score 1.0.
+fn workflow_hit(id: i64, row: &Value) -> Option<SearchHit> {
+    Some(SearchHit {
+        id,
+        name: row["entryPoint"].as_str()?.to_string(),
         kind: "workflow",
-        description: wf.description.clone(),
+        description: row["description"].as_str().unwrap_or("").to_string(),
         auto_described: false,
-        score,
-    }
+        score: 1.0,
+    })
 }
 
 /// Render hits as the table the client prints (Figures 6–8).

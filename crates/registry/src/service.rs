@@ -431,6 +431,9 @@ impl Registry {
     ) -> Result<SearchResponse, RegistryError> {
         let uid = self.user_id(user)?;
         self.searches.fetch_add(1, Ordering::Relaxed);
+        if opts.force_scan {
+            self.dao.fallbacks().forced.fetch_add(1, Ordering::Relaxed);
+        }
         let mut embed_us = 0u64;
         let mut embed = |model: &dyn EmbeddingModel, code: bool| {
             let t = Instant::now();
@@ -469,14 +472,20 @@ impl Registry {
     }
 
     /// Registry observability (`GET /registry/stats`): entity counts, the
-    /// search counter and the index's shape.
+    /// search counter, the index's shape and how often search fell back
+    /// to the scan (`index.declines`, `index.forced_scans`).
     pub fn stats(&self) -> Value {
+        let fallbacks = self.dao.fallbacks();
+        let mut index = self.dao.index().stats();
+        index
+            .set("declines", fallbacks.declines.load(Ordering::Relaxed) as i64)
+            .set("forced_scans", fallbacks.forced.load(Ordering::Relaxed) as i64);
         let mut v = Value::Null;
         v.set("users", self.dao.store.users.len() as i64)
             .set("pes", self.dao.store.pes.len() as i64)
             .set("workflows", self.dao.store.workflows.len() as i64)
             .set("searches", self.searches.load(Ordering::Relaxed) as i64)
-            .set("index", self.dao.index().stats());
+            .set("index", index);
         v
     }
 
@@ -728,6 +737,56 @@ mod tests {
         r.register_pe("zz46", PRIME_SRC, None).unwrap();
         let hits = r.search("zz46", "randint(1, 1000)", SearchType::Pe, QueryType::Code).unwrap();
         assert_eq!(hits[0].name, "NumberProducer", "hits: {hits:?}");
+    }
+
+    /// `(index.declines, index.forced_scans)` from the stats surface.
+    fn fallback_counts(r: &Registry) -> (i64, i64) {
+        let index = &r.stats()["index"];
+        (index["declines"].as_i64().unwrap(), index["forced_scans"].as_i64().unwrap())
+    }
+
+    #[test]
+    fn index_declines_are_counted() {
+        // A PE embedded by models of another dimension degrades the
+        // user's matrices; removing it later does not restore them.
+        let models = |search: &str, completion: &str| {
+            (model_by_name(search).unwrap(), model_by_name(completion).unwrap())
+        };
+        let mut r = reg_with_user();
+        r.register_pe("zz46", PRIME_SRC, None).unwrap();
+        let (search, completion) = models("CodeBERT", "CodeBERT");
+        r = r.with_models(search, completion);
+        r.register_pe("zz46", "pe Odd : iterative { input x; output output; process { emit(x); } }", None)
+            .unwrap();
+        r.remove_pe("zz46", &EntityKey::Name("Odd".into())).unwrap();
+        let (search, completion) = models("unixcoder-code-search", "ReACC-retriever-py");
+        r = r.with_models(search, completion);
+        assert_eq!(fallback_counts(&r), (0, 0));
+
+        let hits = r.search("zz46", "checks if a number is prime", SearchType::Pe, QueryType::Text).unwrap();
+        assert_eq!(hits.len(), 1, "the scan answered: {hits:?}");
+        assert_eq!(fallback_counts(&r), (1, 0), "one decline, no forced scan");
+        r.search("zz46", "emit(num)", SearchType::Pe, QueryType::Code).unwrap();
+        assert_eq!(fallback_counts(&r), (2, 0));
+        // Text search is still indexed.
+        r.search("zz46", "prime", SearchType::Both, QueryType::Text).unwrap();
+        assert_eq!(fallback_counts(&r), (2, 0));
+    }
+
+    #[test]
+    fn forced_scans_are_counted() {
+        let mut r = reg_with_user();
+        r.register_workflow("zz46", WF_SRC, "isPrime", None).unwrap();
+        let forced = SearchOptions { force_scan: true, ..SearchOptions::default() };
+        for (st, qt) in [
+            (SearchType::Pe, QueryType::Text),
+            (SearchType::Both, QueryType::Text),
+            (SearchType::Pe, QueryType::Code),
+        ] {
+            r.search_with("zz46", "prime", st, qt, &SearchOptions::default()).unwrap();
+            r.search_with("zz46", "prime", st, qt, &forced).unwrap();
+        }
+        assert_eq!(fallback_counts(&r), (0, 3), "one per forced request, no declines");
     }
 
     #[test]

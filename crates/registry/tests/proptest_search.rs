@@ -5,13 +5,20 @@
 //! and the index a WAL recovery rebuilds answers identically to the
 //! live one it replaced.
 //!
+//! A second property runs at block scale: enough PEs per user to fill
+//! several of the vector index's row blocks, so ranking goes through the
+//! sparse block kernel, the row-major tail, and the swap-removes that
+//! move rows between a block and the tail.
+//!
 //! This is the read-path analogue of `proptest_interleaved` (which pins
 //! the WAL journal itself) and the same differential-oracle pattern the
 //! script VM uses against the tree-walker.
 
+use laminar_embed::BLOCK_ROWS;
 use laminar_registry::service::EntityKey;
 use laminar_registry::{QueryType, Registry, SearchHit, SearchOptions, SearchType};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 /// One registry mutation. Indices select from small pools so users
@@ -200,6 +207,127 @@ proptest! {
         let after = all_answers(&reopened);
         prop_assert_eq!(before, after, "recovered index diverged from the live one");
         assert_index_matches_scan(&reopened);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Distinct PE templates in the block-scale property: two full blocks
+/// and a half.
+const BLOCK_POOL: usize = 2 * BLOCK_ROWS + BLOCK_ROWS / 2;
+
+const BLOCK_WORDS: [&str; 12] = [
+    "prime", "stream", "sensor", "window", "median", "filter", "merge", "signal", "batch", "alert", "packet",
+    "matrix",
+];
+
+fn block_pe_source(i: usize) -> String {
+    format!(
+        "pe Blk{i} : iterative {{ input x; output output; process {{ emit(x * {} + {i}); }} }}",
+        i % 7 + 1
+    )
+}
+
+/// Three-word descriptions; every tenth PE is left to the summarizer.
+fn block_description(i: usize) -> Option<String> {
+    (!i.is_multiple_of(10)).then(|| {
+        format!(
+            "{} {} {} processor",
+            BLOCK_WORDS[i % 12],
+            BLOCK_WORDS[(i * 5 + 3) % 12],
+            BLOCK_WORDS[(i * 7 + 1) % 12]
+        )
+    })
+}
+
+const BLOCK_USER: &str = "blocks";
+
+/// Semantic and code queries, including ones sharing no feature with the
+/// corpus (all-tied scores).
+const RANKED: [(QueryType, &str); 6] = [
+    (QueryType::Text, "prime stream processor"),
+    (QueryType::Text, "median window filter"),
+    (QueryType::Text, "zzz unrelated words"),
+    (QueryType::Code, "emit(x * 3 +"),
+    (QueryType::Code, "process { emit(x"),
+    (QueryType::Code, "print(y)"),
+];
+
+/// Ranked answers at a few limits, the last one covering every row.
+fn ranked_answers(reg: &Registry, force_scan: bool) -> Vec<Vec<SearchHit>> {
+    let mut out = Vec::new();
+    for (qt, query) in RANKED {
+        for limit in [5, 25, BLOCK_POOL + 1] {
+            let opts = SearchOptions { limit, force_scan };
+            out.push(reg.search_with(BLOCK_USER, query, SearchType::Pe, qt, &opts).unwrap().hits);
+        }
+    }
+    out
+}
+
+fn assert_ranked_matches_scan(reg: &Registry, stage: &str, live: &BTreeSet<usize>) {
+    let indexed = ranked_answers(reg, false);
+    prop_assert_eq!(indexed.last().map(Vec::len), Some(live.len()), "{}: every live PE ranked", stage);
+    prop_assert_eq!(indexed, ranked_answers(reg, true), "{}: index != scan with {} PEs", stage, live.len());
+}
+
+fn block_register(reg: &mut Registry, live: &mut BTreeSet<usize>, i: usize) {
+    if reg.register_pe(BLOCK_USER, &block_pe_source(i), block_description(i).as_deref()).is_ok() {
+        live.insert(i);
+    }
+}
+
+fn block_remove(reg: &mut Registry, live: &mut BTreeSet<usize>, i: usize) {
+    if reg.remove_pe(BLOCK_USER, &EntityKey::Name(format!("Blk{i}"))).is_ok() {
+        live.remove(&i);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Fill more than a block, drain the tail to exactly a block
+    /// boundary, remove rows inside blocks (the last block spills back
+    /// into the tail and its last row moves across), then churn. Ranked
+    /// answers equal the scan at every stage, and a WAL recovery rebuilds
+    /// an index that answers identically.
+    #[test]
+    fn block_scale_ranking_equals_linear_scan(
+        initial in (BLOCK_ROWS + 1)..BLOCK_POOL,
+        removals in prop::collection::vec(0usize..BLOCK_POOL, 1..12),
+        churn in prop::collection::vec((any::<bool>(), 0usize..BLOCK_POOL), 10..60),
+        case in 0u64..1_000_000,
+    ) {
+        let dir = tmpdir("blocks", case);
+        let (before, live) = {
+            let mut reg = Registry::open(&dir).unwrap();
+            reg.register_user(BLOCK_USER, "password").unwrap();
+            let mut live = BTreeSet::new();
+            for i in 0..initial {
+                block_register(&mut reg, &mut live, i);
+            }
+            assert_ranked_matches_scan(&reg, "filled", &live);
+            while !live.len().is_multiple_of(BLOCK_ROWS) {
+                let newest = *live.last().unwrap();
+                block_remove(&mut reg, &mut live, newest);
+            }
+            assert_ranked_matches_scan(&reg, "at a block boundary", &live);
+            for i in removals {
+                block_remove(&mut reg, &mut live, i);
+            }
+            assert_ranked_matches_scan(&reg, "removed across the boundary", &live);
+            for (register, i) in churn {
+                if register {
+                    block_register(&mut reg, &mut live, i);
+                } else {
+                    block_remove(&mut reg, &mut live, i);
+                }
+            }
+            assert_ranked_matches_scan(&reg, "after churn", &live);
+            (ranked_answers(&reg, false), live)
+        };
+        let reopened = Registry::open(&dir).unwrap();
+        prop_assert_eq!(before, ranked_answers(&reopened, false), "recovered index diverged from the live one");
+        assert_ranked_matches_scan(&reopened, "recovered", &live);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

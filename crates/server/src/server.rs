@@ -750,6 +750,18 @@ mod tests {
         assert_eq!(stats.body["searches"].as_i64(), Some(1));
         assert_eq!(stats.body["index"]["enabled"].as_bool(), Some(true));
         assert!(stats.body["index"]["vectors"].as_i64().unwrap() >= 8);
+        assert_eq!(stats.body["index"]["declines"].as_i64(), Some(0));
+        assert_eq!(stats.body["index"]["forced_scans"].as_i64(), Some(0));
+        // A forced scan answers the same and shows up as a fallback.
+        let scanned = s.handle(&ApiRequest::new(
+            Method::Get,
+            "/registry/zz46/search/counter/type/both",
+            jobj! { "limit" => 2, "forceScan" => true },
+        ));
+        assert_eq!(scanned.body["hits"], r.body["hits"]);
+        let stats = s.handle(&ApiRequest::new(Method::Get, "/registry/stats", Value::Null));
+        assert_eq!(stats.body["index"]["forced_scans"].as_i64(), Some(1));
+        assert_eq!(stats.body["index"]["declines"].as_i64(), Some(0));
     }
 
     #[test]
