@@ -15,18 +15,21 @@
 
 pub mod engine;
 pub mod env;
+pub mod event_log;
 pub mod hosts;
 pub mod journal;
 pub mod netmodel;
 pub mod pool;
 pub mod request;
+mod scheduler;
 
 pub use engine::{ExecutionEngine, ExecutionOutput};
 pub use env::{EnvironmentManager, InstallReport};
+pub use event_log::{EventPage, JobEventLog};
 pub use hosts::HostRegistry;
 pub use journal::{JournalError, JournalStore, ResumeData};
 pub use netmodel::NetModel;
-pub use pool::{EnginePool, EventPage, JobEventLog, JobInfo, JobPhase, JobResult, PoolError, PoolStats};
+pub use pool::{EnginePool, JobInfo, JobPhase, JobResult, PoolError, PoolStats};
 pub use request::{ExecutionRequest, SubmitOptions};
 
 pub use laminar_dataflow::{CancelToken, FaultPlan, RunInput};
