@@ -69,7 +69,7 @@ fn fairness_phase(
 ) -> FairnessRun {
     let total = tenants * jobs_per_tenant;
     let engine = ExecutionEngine::instant().with_provision_scale(provision_scale);
-    let mut pool = EnginePool::start(engine, 2, total + 64);
+    let pool = EnginePool::start(engine, 2, total + 64);
 
     // Open-loop arrival: every tenant thread submits its quota at a fixed
     // pace and never waits for a completion — the queue absorbs the
@@ -288,7 +288,7 @@ struct AdmissionRun {
 }
 
 fn admission_phase(attempts: u64) -> AdmissionRun {
-    let mut pool = EnginePool::start(ExecutionEngine::instant(), 2, attempts as usize + 8);
+    let pool = EnginePool::start(ExecutionEngine::instant(), 2, attempts as usize + 8);
     pool.set_tenant_rate(200.0, 8.0);
     let mut run = AdmissionRun { attempts, accepted: 0, throttled: 0, min_hint_ms: u64::MAX, max_hint_ms: 0 };
     let mut ids = Vec::new();

@@ -22,7 +22,9 @@ use laminar_dataflow::mapping::ResumePoint;
 use laminar_dataflow::{CancelToken, DataflowError, FaultPlan, RunEvent, RunObserver};
 use laminar_json::Value;
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -101,6 +103,10 @@ pub enum JobPhase {
 }
 
 impl JobPhase {
+    fn is_terminal(self) -> bool {
+        matches!(self, JobPhase::Done | JobPhase::Failed | JobPhase::Cancelled)
+    }
+
     /// Wire form (the `status` field of the job endpoints).
     pub fn as_str(&self) -> &'static str {
         match self {
@@ -133,7 +139,7 @@ pub struct JobInfo {
 impl JobInfo {
     /// Whether the job reached a terminal phase.
     pub fn is_finished(&self) -> bool {
-        matches!(self.phase, JobPhase::Done | JobPhase::Failed | JobPhase::Cancelled)
+        self.phase.is_terminal()
     }
 
     /// Serialize for the wire.
@@ -285,6 +291,23 @@ struct JobRecord {
 }
 
 impl JobRecord {
+    /// A freshly admitted job, waiting in its tenant's lane.
+    fn queued(owner: &str, events: Arc<JobEventLog>, streaming: bool) -> JobRecord {
+        JobRecord {
+            owner: owner.to_string(),
+            phase: JobPhase::Queued,
+            submitted: Instant::now(),
+            queue_wait: Duration::ZERO,
+            run_time: Duration::ZERO,
+            worker: None,
+            output: None,
+            error: None,
+            events,
+            streaming,
+            cancel: CancelToken::new(),
+        }
+    }
+
     fn info(&self, id: i64) -> JobInfo {
         JobInfo {
             id,
@@ -295,6 +318,13 @@ impl JobRecord {
             error: self.error.clone(),
         }
     }
+}
+
+/// How a job ended: the input of [`PoolInner::settle`].
+enum Outcome {
+    Done(Box<ExecutionOutput>),
+    Failed(String),
+    Cancelled,
 }
 
 struct PoolInner {
@@ -333,8 +363,7 @@ struct PoolInner {
     /// Total measured run time (ms) across completed/failed jobs, for the
     /// queue-full `retryAfterMs` hint.
     run_ms_total: AtomicU64,
-    /// Worker count, cached for the retry hint (the `workers` Vec lives
-    /// on `EnginePool`, not here).
+    /// Configured worker count.
     worker_count: usize,
     /// Journal I/O errors swallowed by job observers.
     journal_errors: Arc<AtomicU64>,
@@ -359,13 +388,94 @@ impl PoolInner {
             Duration::from_millis(self.backpressure_wait_ms.load(Ordering::SeqCst)),
         )
     }
+
+    /// The one terminal transition, taken under the `jobs` lock: commit
+    /// the outcome to the record, seal its log with exactly one terminal
+    /// marker, count it, and apply the journal rule. A completed job needs
+    /// no recovery state, so its journal goes; a failed one keeps it for
+    /// post-mortems and explicit resume, flagged so auto-resume skips a
+    /// job that would just fail again; a cancelled one is abandoned —
+    /// unless the pool is shutting down, when the journal stays so a
+    /// restarted durable pool auto-resumes the run. The journal is settled
+    /// before the lock drops, so a waiter that sees the terminal phase
+    /// never finds it stale. Follow with [`PoolInner::retire`].
+    fn settle(&self, id: i64, rec: &mut JobRecord, outcome: Outcome) {
+        match outcome {
+            Outcome::Done(mut out) => {
+                out.queue_wait = rec.queue_wait;
+                out.worker = rec.worker;
+                rec.output = Some(Arc::new(*out));
+                rec.phase = JobPhase::Done;
+                rec.events.close(terminal_event("done", None));
+                self.completed.fetch_add(1, Ordering::SeqCst);
+            }
+            Outcome::Failed(message) => {
+                rec.events.close(terminal_event("failed", Some(&message)));
+                rec.error = Some(message);
+                rec.phase = JobPhase::Failed;
+                self.failed.fetch_add(1, Ordering::SeqCst);
+            }
+            Outcome::Cancelled => {
+                // A streamed run already logged the runtime's Cancelled
+                // marker; close_cancelled appends one only when missing.
+                rec.phase = JobPhase::Cancelled;
+                rec.cancel.cancel();
+                rec.events.close_cancelled();
+                self.cancelled.fetch_add(1, Ordering::SeqCst);
+            }
+        }
+        if rec.phase != JobPhase::Cancelled {
+            self.run_ms_total.fetch_add(rec.run_time.as_millis() as u64, Ordering::SeqCst);
+        }
+        if let Some(journal) = &self.journal {
+            match rec.phase {
+                JobPhase::Failed => journal.mark_failed(id),
+                JobPhase::Cancelled if self.shutdown.load(Ordering::SeqCst) => {}
+                _ => journal.remove(id),
+            }
+        }
+    }
+
+    /// Publish a settled job once the `jobs` lock is released: wake its
+    /// result waiters, then bound what finished jobs retain. Only the most
+    /// recent [`RETAIN_STREAMED_LOGS`] streamed logs keep their events —
+    /// older ones are expired, so cursor clients see truncation while the
+    /// terminal phase stays pollable — and only the most recent
+    /// [`RETAIN_FINISHED`] records are kept at all.
+    fn retire(&self, id: i64, streamed: bool) {
+        self.done_cv.notify_all();
+        if streamed {
+            let mut order = self.streamed_order.lock();
+            order.push_back(id);
+            while order.len() > RETAIN_STREAMED_LOGS {
+                let old = order.pop_front();
+                let log = old.and_then(|old| self.jobs.lock().get(&old).map(|rec| Arc::clone(&rec.events)));
+                if let Some(log) = log {
+                    log.expire();
+                }
+            }
+        }
+        let mut order = self.finished_order.lock();
+        order.push_back(id);
+        while order.len() > RETAIN_FINISHED {
+            if let Some(old) = order.pop_front() {
+                // A resumed job reuses its id while an older entry for it
+                // may still sit in this order: never evict a live record.
+                let mut jobs = self.jobs.lock();
+                if jobs.get(&old).is_some_and(|rec| rec.phase.is_terminal()) {
+                    jobs.remove(&old);
+                }
+            }
+        }
+    }
 }
 
 /// A pool of engines serving jobs from a bounded queue.
 pub struct EnginePool {
     inner: Arc<PoolInner>,
     hosts: crate::hosts::HostRegistry,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    /// Worker threads, joined (and emptied) by [`EnginePool::stop`].
+    workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl EnginePool {
@@ -451,7 +561,7 @@ impl EnginePool {
                     .expect("spawn engine worker")
             })
             .collect();
-        EnginePool { inner, hosts, workers: handles }
+        EnginePool { inner, hosts, workers: Mutex::new(handles) }
     }
 
     /// The shared module-host registry: module hosts registered here are
@@ -463,42 +573,55 @@ impl EnginePool {
 
     /// Number of worker engines.
     pub fn workers(&self) -> usize {
-        self.workers.len()
+        self.inner.worker_count
     }
 
     /// Enqueue a job. Fails fast with [`PoolError::RateLimited`] when the
     /// tenant is over its token budget, or [`PoolError::QueueFull`] when
     /// the queue is at capacity (admission control).
     pub fn submit(&self, owner: &str, req: ExecutionRequest) -> Result<i64, PoolError> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(PoolError::ShutDown);
-        }
         if let Err(retry_after_ms) = self.inner.rate.lock().try_take(owner) {
             self.inner.rate_limited.fetch_add(1, Ordering::SeqCst);
             return Err(PoolError::RateLimited { retry_after_ms });
         }
+        self.admit(owner, req, None)
+    }
+
+    /// The one admission path, behind [`EnginePool::submit`] and resume:
+    /// shutdown and capacity checks, a fresh record and log, the queue
+    /// push and the worker wake-up. `resumed` carries a journaled job's
+    /// original id and recorded event prefix. Shutdown is checked under
+    /// the `queue` lock, the lock [`EnginePool::stop`] sets it under, so
+    /// an admission racing `stop` either lands before the orphan drain
+    /// (and is cancelled by it) or is refused.
+    fn admit(
+        &self,
+        owner: &str,
+        req: ExecutionRequest,
+        resumed: Option<(i64, Vec<Value>)>,
+    ) -> Result<i64, PoolError> {
         let mut queue = self.inner.queue.lock();
+        if self.inner.shutdown.load(Ordering::SeqCst) {
+            return Err(PoolError::ShutDown);
+        }
         if queue.len() >= self.inner.capacity {
             self.inner.rejected.fetch_add(1, Ordering::SeqCst);
             return Err(PoolError::QueueFull { capacity: self.inner.capacity });
         }
-        let id = self.inner.next_id.fetch_add(1, Ordering::SeqCst);
-        self.inner.jobs.lock().insert(
-            id,
-            JobRecord {
-                owner: owner.to_string(),
-                phase: JobPhase::Queued,
-                submitted: Instant::now(),
-                queue_wait: Duration::ZERO,
-                run_time: Duration::ZERO,
-                worker: None,
-                output: None,
-                error: None,
-                events: self.inner.new_log(req.options.checkpoint_every > 0),
-                streaming: req.options.events,
-                cancel: CancelToken::new(),
-            },
-        );
+        let log = self.inner.new_log(req.options.checkpoint_every > 0);
+        let id = match resumed {
+            Some((id, prefix)) => {
+                // Keep the id allocator ahead of resurrected ids so fresh
+                // submissions never collide with a journaled job.
+                self.inner.next_id.fetch_max(id + 1, Ordering::SeqCst);
+                // Seed the resumed log from the journal *honoring recorded
+                // seqs*, so attempt-1 cursors stay monotone across the resume.
+                log.preload_journal(prefix);
+                id
+            }
+            None => self.inner.next_id.fetch_add(1, Ordering::SeqCst),
+        };
+        self.inner.jobs.lock().insert(id, JobRecord::queued(owner, log, req.options.events));
         let priority = req.options.priority;
         queue.push(owner, id, priority, req);
         drop(queue);
@@ -608,7 +731,7 @@ impl EnginePool {
                 None => return None,
                 Some(rec) if rec.owner != owner => return None,
                 Some(rec) => {
-                    if rec.info(id).is_finished() || Instant::now() >= deadline {
+                    if rec.phase.is_terminal() || Instant::now() >= deadline {
                         return Some(Self::result_of(rec, id));
                     }
                 }
@@ -649,39 +772,26 @@ impl EnginePool {
     /// Returns the job's post-request view, or `None` when the id is
     /// unknown or owned by someone else.
     pub fn cancel(&self, owner: &str, id: i64) -> Option<JobInfo> {
-        let (info, newly_cancelled) = {
-            let mut jobs = self.inner.jobs.lock();
-            let rec = jobs.get_mut(&id)?;
-            if rec.owner != owner {
-                return None;
+        let mut jobs = self.inner.jobs.lock();
+        let rec = jobs.get_mut(&id).filter(|rec| rec.owner == owner)?;
+        let settled = match rec.phase {
+            JobPhase::Queued => {
+                self.inner.settle(id, rec, Outcome::Cancelled);
+                Some(rec.streaming)
             }
-            let newly = match rec.phase {
-                JobPhase::Queued => {
-                    rec.phase = JobPhase::Cancelled;
-                    rec.cancel.cancel();
-                    rec.events.close_cancelled();
-                    self.inner.cancelled.fetch_add(1, Ordering::SeqCst);
-                    true
-                }
-                JobPhase::Running => {
-                    rec.cancel.cancel();
-                    false
-                }
-                _ => false,
-            };
-            (rec.info(id), newly)
+            JobPhase::Running => {
+                rec.cancel.cancel();
+                None
+            }
+            _ => None,
         };
-        if newly_cancelled {
+        let info = rec.info(id);
+        drop(jobs);
+        if let Some(streamed) = settled {
             // Free the queue slot (admission control) — the worker-side
             // phase check makes this safe against a concurrent pop.
             self.inner.queue.lock().remove(id);
-            // An explicit cancel abandons the job's journal too (a queued
-            // resumed job still has one from its interrupted run).
-            if let Some(journal) = &self.inner.journal {
-                journal.remove(id);
-            }
-            self.inner.done_cv.notify_all();
-            evict_finished(&self.inner, id);
+            self.inner.retire(id, streamed);
         }
         Some(info)
     }
@@ -723,9 +833,6 @@ impl EnginePool {
     /// up), or the owner does not match. A job currently queued, running
     /// or done in *this* pool is refused — resume is for interrupted jobs.
     pub fn resume_job(&self, owner: &str, id: i64) -> Result<i64, PoolError> {
-        if self.inner.shutdown.load(Ordering::SeqCst) {
-            return Err(PoolError::ShutDown);
-        }
         let journal = self.inner.journal.as_ref().ok_or(PoolError::Unknown(id))?;
         // Chaos harness: an env-armed truncation fault tears the segment
         // tail before recovery reads it, modelling a crash that raced the
@@ -752,45 +859,10 @@ impl EnginePool {
     fn enqueue_resume(&self, id: i64, data: ResumeData) -> Result<i64, PoolError> {
         let mut req = ExecutionRequest::from_value(&data.meta["request"])
             .ok_or_else(|| PoolError::Failed(format!("job {id}: corrupt journal meta")))?;
-        let owner = data.meta["owner"].as_str().unwrap_or("anonymous").to_string();
-        let lane_owner = owner.clone();
+        let owner = data.meta["owner"].as_str().unwrap_or("anonymous");
         let replayed: Vec<RunEvent> = data.events.iter().filter_map(RunEvent::from_value).collect();
         req.resume = Some(ResumePoint { epoch: data.epoch, snapshots: data.snapshots, events: replayed });
-
-        let mut queue = self.inner.queue.lock();
-        if queue.len() >= self.inner.capacity {
-            self.inner.rejected.fetch_add(1, Ordering::SeqCst);
-            return Err(PoolError::QueueFull { capacity: self.inner.capacity });
-        }
-        // Keep the id allocator ahead of resurrected ids so fresh
-        // submissions never collide with a journaled job.
-        self.inner.next_id.fetch_max(id + 1, Ordering::SeqCst);
-        // Seed the resumed log from the journal *honoring recorded seqs*,
-        // so attempt-1 cursors stay monotone across the resume.
-        let log = self.inner.new_log(req.options.checkpoint_every > 0);
-        log.preload_journal(data.events);
-        self.inner.jobs.lock().insert(
-            id,
-            JobRecord {
-                owner,
-                phase: JobPhase::Queued,
-                submitted: Instant::now(),
-                queue_wait: Duration::ZERO,
-                run_time: Duration::ZERO,
-                worker: None,
-                output: None,
-                error: None,
-                events: log,
-                streaming: req.options.events,
-                cancel: CancelToken::new(),
-            },
-        );
-        let priority = req.options.priority;
-        queue.push(&lane_owner, id, priority, req);
-        drop(queue);
-        self.inner.submitted.fetch_add(1, Ordering::SeqCst);
-        self.inner.work_cv.notify_one();
-        Ok(id)
+        self.admit(owner, req, Some((id, data.events)))
     }
 
     /// Deterministic shutdown: every job still queued is *cancelled*
@@ -800,7 +872,7 @@ impl EnginePool {
     /// next invocation boundary (short bounded jobs typically complete
     /// first and stay `done`); all worker threads are joined. Idempotent
     /// — [`Drop`] calls this too.
-    pub fn stop(&mut self) {
+    pub fn stop(&self) {
         // Invariant: `shutdown` changes only under `queue`, the lock its
         // waiters read it under. Stored outside that lock, the flag and the
         // notify below can both land between a worker's check and its
@@ -817,16 +889,11 @@ impl EnginePool {
         let orphaned: Vec<i64> = self.inner.queue.lock().drain();
         for id in orphaned {
             let mut jobs = self.inner.jobs.lock();
-            if let Some(rec) = jobs.get_mut(&id) {
-                if rec.phase == JobPhase::Queued {
-                    rec.phase = JobPhase::Cancelled;
-                    rec.cancel.cancel();
-                    rec.events.close_cancelled();
-                    self.inner.cancelled.fetch_add(1, Ordering::SeqCst);
-                }
-            }
+            let Some(rec) = jobs.get_mut(&id).filter(|rec| rec.phase == JobPhase::Queued) else { continue };
+            self.inner.settle(id, rec, Outcome::Cancelled);
+            let streamed = rec.streaming;
             drop(jobs);
-            evict_finished(&self.inner, id);
+            self.inner.retire(id, streamed);
         }
         // Fire in-flight tokens so the join below terminates even when a
         // worker is running an unbounded (run-until-cancelled) job. This
@@ -839,8 +906,8 @@ impl EnginePool {
                 rec.cancel.cancel();
             }
         }
-        self.inner.done_cv.notify_all();
-        for handle in self.workers.drain(..) {
+        let handles: Vec<_> = self.workers.lock().drain(..).collect();
+        for handle in handles {
             let _ = handle.join();
         }
     }
@@ -852,7 +919,7 @@ impl EnginePool {
             (queue.len(), queue.tenants())
         };
         PoolStats {
-            workers: self.workers.len(),
+            workers: self.inner.worker_count,
             capacity: self.inner.capacity,
             queued,
             running: self.inner.running.load(Ordering::SeqCst) as usize,
@@ -881,7 +948,7 @@ fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker_id: usize)
             let mut queue = inner.queue.lock();
             loop {
                 // Checked before popping: once shutdown lands, queued jobs
-                // belong to `stop()`, which fails them deterministically.
+                // belong to `stop()`, which cancels them deterministically.
                 if inner.shutdown.load(Ordering::SeqCst) {
                     break None;
                 }
@@ -894,57 +961,32 @@ fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker_id: usize)
         let Some((id, req)) = job else { return };
 
         let picked = Instant::now();
-        let mut deadline_missed = false;
         let (log, streaming, cancel, owner) = {
             let mut jobs = inner.jobs.lock();
-            match jobs.get_mut(&id) {
-                // A job cancelled while queued stays cancelled: its
-                // record is already terminal and sealed, so the popped
-                // queue entry is simply dropped.
-                Some(rec) if rec.phase != JobPhase::Queued => continue,
-                Some(rec) => {
-                    rec.queue_wait = picked.duration_since(rec.submitted);
-                    // A submission deadline bounds *queue wait*: a job
-                    // that waited past it fails fast instead of burning a
-                    // worker on a result the submitter stopped wanting.
-                    if let Some(deadline_ms) = req.options.deadline_ms {
-                        if rec.queue_wait > Duration::from_millis(deadline_ms) {
-                            let msg = format!(
-                                "deadline exceeded: {deadline_ms}ms budget, \
-                                 {}ms in queue",
-                                rec.queue_wait.as_millis()
-                            );
-                            rec.events.close(terminal_event("failed", Some(&msg)));
-                            rec.error = Some(msg);
-                            rec.phase = JobPhase::Failed;
-                            inner.failed.fetch_add(1, Ordering::SeqCst);
-                            deadline_missed = true;
-                        }
-                    }
-                    if deadline_missed {
-                        (Arc::clone(&rec.events), false, CancelToken::new(), String::new())
-                    } else {
-                        rec.phase = JobPhase::Running;
-                        rec.worker = Some(worker_id);
-                        (Arc::clone(&rec.events), rec.streaming, rec.cancel.clone(), rec.owner.clone())
-                    }
-                }
-                None => (
-                    JobEventLog::new(false, EVENT_LOG_CAPACITY, BACKPRESSURE_WAIT),
-                    false,
-                    CancelToken::new(),
-                    String::new(),
-                ),
+            // A job cancelled while queued stays cancelled: its record is
+            // already settled, so the popped queue entry is simply dropped.
+            let Some(rec) = jobs.get_mut(&id).filter(|rec| rec.phase == JobPhase::Queued) else { continue };
+            rec.queue_wait = picked.duration_since(rec.submitted);
+            // A submission deadline bounds *queue wait*: a job that waited
+            // past it fails fast instead of burning a worker on a result
+            // the submitter stopped wanting.
+            if let Some(deadline_ms) =
+                req.options.deadline_ms.filter(|ms| rec.queue_wait > Duration::from_millis(*ms))
+            {
+                let msg = format!(
+                    "deadline exceeded: {deadline_ms}ms budget, {}ms in queue",
+                    rec.queue_wait.as_millis()
+                );
+                inner.settle(id, rec, Outcome::Failed(msg));
+                let streamed = rec.streaming;
+                drop(jobs);
+                inner.retire(id, streamed);
+                continue;
             }
+            rec.phase = JobPhase::Running;
+            rec.worker = Some(worker_id);
+            (Arc::clone(&rec.events), rec.streaming, rec.cancel.clone(), rec.owner.clone())
         };
-        if deadline_missed {
-            if let Some(journal) = &inner.journal {
-                journal.mark_failed(id);
-            }
-            inner.done_cv.notify_all();
-            evict_finished(inner, id);
-            continue;
-        }
         inner.running.fetch_add(1, Ordering::SeqCst);
         // Durable pools journal checkpointed jobs: the journal writer sits
         // behind the same observer as the event log, so epochs hit disk in
@@ -964,94 +1006,37 @@ fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker_id: usize)
                 journal_errors: Arc::clone(&inner.journal_errors),
             }) as Arc<dyn RunObserver>
         });
-        let result = engine.run_controlled(&req, observer, &cancel);
-        inner.running.fetch_sub(1, Ordering::SeqCst);
-        let run_time = picked.elapsed();
-
+        // A panicking PE fails its own job, never the worker: the unwind
+        // stops here, and the worker carries on with a fresh fork (new
+        // environment, no staged resources) since the engine skipped its
+        // teardown.
+        let outcome = match catch_unwind(AssertUnwindSafe(|| engine.run_controlled(&req, observer, &cancel)))
         {
-            let mut jobs = inner.jobs.lock();
-            if let Some(rec) = jobs.get_mut(&id) {
-                rec.run_time = run_time;
-                match result {
-                    Ok(mut out) => {
-                        out.queue_wait = rec.queue_wait;
-                        out.worker = Some(worker_id);
-                        rec.output = Some(Arc::new(out));
-                        rec.phase = JobPhase::Done;
-                        log.close(terminal_event("done", None));
-                        inner.completed.fetch_add(1, Ordering::SeqCst);
-                        inner.run_ms_total.fetch_add(run_time.as_millis() as u64, Ordering::SeqCst);
-                        // A completed job needs no recovery state.
-                        if let Some(journal) = &inner.journal {
-                            journal.remove(id);
-                        }
-                    }
-                    Err(DataflowError::Cancelled) => {
-                        // The streaming observer already logged the
-                        // runtime's Cancelled marker; close_cancelled
-                        // appends it for non-streamed jobs and seals.
-                        rec.phase = JobPhase::Cancelled;
-                        log.close_cancelled();
-                        inner.cancelled.fetch_add(1, Ordering::SeqCst);
-                        // User cancellation abandons the job — drop its
-                        // journal. Shutdown cancellation keeps it so a
-                        // restarted durable pool auto-resumes the run.
-                        if !inner.shutdown.load(Ordering::SeqCst) {
-                            if let Some(journal) = &inner.journal {
-                                journal.remove(id);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        let message = e.to_string();
-                        log.close(terminal_event("failed", Some(&message)));
-                        rec.error = Some(message);
-                        rec.phase = JobPhase::Failed;
-                        inner.failed.fetch_add(1, Ordering::SeqCst);
-                        inner.run_ms_total.fetch_add(run_time.as_millis() as u64, Ordering::SeqCst);
-                        // Keep the journal for post-mortems and explicit
-                        // resume, but flag it so auto-resume skips a job
-                        // that would just crash again.
-                        if let Some(journal) = &inner.journal {
-                            journal.mark_failed(id);
-                        }
-                    }
-                }
+            Ok(Ok(out)) => Outcome::Done(Box::new(out)),
+            Ok(Err(DataflowError::Cancelled)) => Outcome::Cancelled,
+            Ok(Err(e)) => Outcome::Failed(e.to_string()),
+            Err(payload) => {
+                engine = engine.fork();
+                Outcome::Failed(format!("panicked: {}", panic_message(payload.as_ref())))
             }
-        }
-        inner.done_cv.notify_all();
-        if streaming {
-            expire_old_streamed_logs(inner, id);
-        }
-        evict_finished(inner, id);
+        };
+        inner.running.fetch_sub(1, Ordering::SeqCst);
+        let mut jobs = inner.jobs.lock();
+        let Some(rec) = jobs.get_mut(&id) else { continue };
+        rec.run_time = picked.elapsed();
+        inner.settle(id, rec, outcome);
+        drop(jobs);
+        inner.retire(id, streaming);
     }
 }
 
-/// Bound the finished-job tail so long-lived servers don't leak records.
-fn evict_finished(inner: &PoolInner, just_finished: i64) {
-    let mut order = inner.finished_order.lock();
-    order.push_back(just_finished);
-    while order.len() > RETAIN_FINISHED {
-        if let Some(old) = order.pop_front() {
-            inner.jobs.lock().remove(&old);
-        }
-    }
-}
-
-/// Bound the memory held by finished streamed logs: only the most recent
-/// [`RETAIN_STREAMED_LOGS`] keep their events; older ones are expired
-/// (cursor clients see truncation, the terminal phase stays pollable).
-fn expire_old_streamed_logs(inner: &PoolInner, just_finished: i64) {
-    let mut order = inner.streamed_order.lock();
-    order.push_back(just_finished);
-    while order.len() > RETAIN_STREAMED_LOGS {
-        if let Some(old) = order.pop_front() {
-            let log = inner.jobs.lock().get(&old).map(|rec| Arc::clone(&rec.events));
-            if let Some(log) = log {
-                log.expire();
-            }
-        }
-    }
+/// The message a panic carried (`panic!` payloads are `&str` or `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
@@ -1279,7 +1264,7 @@ mod tests {
         // sealed by the `cancelled` marker — and stop() must return with
         // all workers joined, never hang.
         let engine = ExecutionEngine::instant().with_provision_scale(500);
-        let mut pool = EnginePool::start(engine, 1, 16);
+        let pool = EnginePool::start(engine, 1, 16);
         let ids: Vec<i64> = (0..6)
             .map(|_| pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 1).with_events(true)).unwrap())
             .collect();
@@ -1540,7 +1525,7 @@ mod tests {
     fn stop_and_restart_auto_resumes_an_interrupted_unbounded_job() {
         let dir = journal_dir("restart");
         let engine = ExecutionEngine::instant();
-        let mut pool = EnginePool::start_durable(engine.fork(), 1, 8, &dir).unwrap();
+        let pool = EnginePool::start_durable(engine.fork(), 1, 8, &dir).unwrap();
         let req = ExecutionRequest::simple("u", STATEFUL_SRC, 0)
             .with_unbounded(Duration::from_micros(200))
             .with_checkpoints(4)
@@ -2016,7 +2001,7 @@ mod tests {
         // notification reaches the waiter — which is parked on the log's
         // own condvar, independent of the pool locks stop() takes.
         let engine = ExecutionEngine::instant().with_provision_scale(200);
-        let mut pool = EnginePool::start(engine, 1, 8);
+        let pool = EnginePool::start(engine, 1, 8);
         pool.submit("u", ExecutionRequest::simple("u", WF_SRC, 1)).unwrap();
         let id = pool.submit("u", queued_req().with_events(true)).unwrap();
         let log = {
@@ -2035,5 +2020,114 @@ mod tests {
         let types: Vec<&str> = page.events.iter().filter_map(|e| e["type"].as_str()).collect();
         assert_eq!(types, vec!["cancelled"]);
         assert!(waited < Duration::from_secs(10), "woke by stop, not timeout: {waited:?}");
+    }
+
+    /// A module host whose every call panics: the PE-panic route.
+    struct PanickingHost;
+
+    impl laminar_script::Host for PanickingHost {
+        fn call(&self, _: &str, _: &str, _: &[Value]) -> Result<Value, laminar_script::ScriptError> {
+            panic!("host exploded")
+        }
+    }
+
+    /// Journal state of a job on disk: `absent`, `failed` or `kept`.
+    fn journal_state(dir: &Path, id: i64) -> &'static str {
+        match std::fs::read_to_string(dir.join(format!("job-{id}")).join("meta.json")) {
+            Err(_) => "absent",
+            Ok(text) if laminar_json::parse(&text).unwrap()["failed"].as_bool() == Some(true) => "failed",
+            Ok(_) => "kept",
+        }
+    }
+
+    #[test]
+    fn every_terminal_route_settles_exactly_once() {
+        // One worker, so queued routes provably wait behind a running
+        // unbounded blocker. Each route: (name, id, phase, terminal
+        // marker, journal state after settling).
+        let dir = journal_dir("lifecycle");
+        let pool = EnginePool::start_durable(ExecutionEngine::instant(), 1, 16, &dir).unwrap();
+        pool.hosts().register("chaos", Arc::new(PanickingHost));
+        let fails_at_3 = |call: &str| {
+            format!("pe F : producer {{ output output; process {{ if iteration == 3 {{ {call}; }} emit(iteration); }} }}")
+        };
+        let (pe_error_src, panic_src) = (fails_at_3("missing.call()"), fails_at_3("chaos.boom()"));
+        let checkpointed =
+            |src: &str| ExecutionRequest::simple("u", src, 6).with_checkpoints(2).with_events(true);
+        let unbounded = || {
+            ExecutionRequest::simple("u", STATEFUL_SRC, 0)
+                .with_unbounded(Duration::from_micros(200))
+                .with_checkpoints(4)
+                .with_events(true)
+        };
+        let running = |id| {
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while pool.status("u", id).unwrap().phase != JobPhase::Running {
+                assert!(Instant::now() < deadline, "job {id} never started");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        };
+        std::thread::scope(|scope| {
+            let park = |id: i64| {
+                let pool = &pool;
+                scope.spawn(move || pool.wait("u", id, Duration::from_secs(30)).unwrap())
+            };
+            let blocker = pool.submit("u", unbounded()).unwrap();
+            running(blocker);
+            let done = pool.submit("u", checkpointed(STATEFUL_SRC)).unwrap();
+            let pe_error = pool.submit("u", checkpointed(&pe_error_src)).unwrap();
+            let panicked = pool.submit("u", checkpointed(&panic_src)).unwrap();
+            let deadline = pool.submit("u", checkpointed(STATEFUL_SRC).with_deadline_ms(1)).unwrap();
+            let cancel_queued = pool.submit("u", checkpointed(STATEFUL_SRC)).unwrap();
+            let mut routes = vec![
+                ("cancel-running", blocker, JobPhase::Cancelled, "cancelled", "absent"),
+                ("done", done, JobPhase::Done, "done", "absent"),
+                ("pe-error", pe_error, JobPhase::Failed, "failed", "failed"),
+                ("panic", panicked, JobPhase::Failed, "failed", "failed"),
+                ("queue-deadline", deadline, JobPhase::Failed, "failed", "absent"),
+                ("cancel-queued", cancel_queued, JobPhase::Cancelled, "cancelled", "absent"),
+            ];
+            let mut waiters: Vec<_> = routes.iter().map(|route| park(route.1)).collect();
+            std::thread::sleep(Duration::from_millis(5)); // the deadline job is stale
+            pool.cancel("u", cancel_queued).unwrap();
+            pool.cancel("u", blocker).unwrap();
+            pool.wait("u", panicked, Duration::from_secs(30)).unwrap();
+
+            let interrupted = pool.submit("u", unbounded()).unwrap();
+            running(interrupted);
+            let orphan = pool.submit("u", checkpointed(STATEFUL_SRC)).unwrap();
+            routes.push(("stop-running", interrupted, JobPhase::Cancelled, "cancelled", "kept"));
+            routes.push(("stop-orphan", orphan, JobPhase::Cancelled, "cancelled", "absent"));
+            waiters.extend([park(interrupted), park(orphan)]);
+            pool.stop();
+
+            for ((route, id, phase, marker, journal), waiter) in routes.into_iter().zip(waiters) {
+                let woke = waiter.join().unwrap();
+                assert!(!matches!(woke, JobResult::Pending(_)), "{route}: parked wait timed out");
+                let info = pool.status("u", id).unwrap();
+                assert_eq!(info.phase, phase, "{route}: {:?}", info.error);
+                if route == "panic" {
+                    assert!(info.error.as_deref().unwrap().starts_with("panicked: host exploded"), "{route}");
+                }
+                let (mut since, mut types) = (0, Vec::new());
+                loop {
+                    let page = pool.events("u", id, since).unwrap();
+                    types.extend(page.events.iter().filter_map(|e| e["type"].as_str().map(str::to_string)));
+                    since = page.next;
+                    if page.closed && page.events.is_empty() {
+                        break;
+                    }
+                }
+                let terminal = types.iter().filter(|t| matches!(t.as_str(), "done" | "failed" | "cancelled"));
+                assert_eq!(terminal.count(), 1, "{route}: {types:?}");
+                assert_eq!(types.last().map(String::as_str), Some(marker), "{route}");
+                assert_eq!(journal_state(&dir, id), journal, "{route}");
+            }
+        });
+        let stats = pool.stats();
+        assert_eq!(stats.submitted, 8);
+        assert_eq!(stats.submitted, stats.completed + stats.failed + stats.cancelled, "{stats:?}");
+        assert_eq!(stats.running, 0);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

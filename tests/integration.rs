@@ -560,3 +560,43 @@ fn four_mappings_same_graph_same_outputs_and_counts() {
         assert!(timings.enact > std::time::Duration::ZERO, "{kind}: stages not timed");
     }
 }
+
+#[test]
+fn pe_panic_fails_only_its_own_job() {
+    // A PE whose host call panics must fail its own job and nothing else:
+    // on a single worker, the next healthy job still runs to completion,
+    // under the mapping that enacts on the pool thread itself (Simple)
+    // and under one that enacts on its own threads (Multi).
+    use laminar::engine::{EnginePool, ExecutionEngine, ExecutionRequest, JobResult};
+    use laminar::script::{Host, ScriptError};
+    use std::time::Duration;
+
+    struct Exploding;
+    impl Host for Exploding {
+        fn call(&self, _: &str, _: &str, _: &[Value]) -> Result<Value, ScriptError> {
+            panic!("sensor driver exploded")
+        }
+    }
+
+    let pool = EnginePool::start(ExecutionEngine::instant(), 1, 8);
+    pool.hosts().register("sensor", Arc::new(Exploding));
+    let hostile = "pe Poll : producer { output output; process { emit(sensor.read(iteration)); } }";
+    let healthy = "pe Count : producer { output output; process { emit(iteration); } }";
+    for mapping in [MappingKind::Simple, MappingKind::Multi] {
+        let bad =
+            pool.submit("u", ExecutionRequest::simple("u", hostile, 3).with_mapping(mapping, 2)).unwrap();
+        match pool.wait("u", bad, Duration::from_secs(30)).unwrap() {
+            JobResult::Failed(message, _) => assert!(message.contains("panicked"), "{mapping}: {message}"),
+            other => panic!("{mapping}: expected the panic to fail the job, got {other:?}"),
+        }
+        let good =
+            pool.submit("u", ExecutionRequest::simple("u", healthy, 3).with_mapping(mapping, 2)).unwrap();
+        match pool.wait("u", good, Duration::from_secs(30)).unwrap() {
+            JobResult::Done(out, _) => assert_eq!(out.port_values("Count", "output").len(), 3, "{mapping}"),
+            other => panic!("{mapping}: the worker must survive the panic, got {other:?}"),
+        }
+    }
+    let stats = pool.stats();
+    assert_eq!((stats.workers, stats.running), (1, 0));
+    assert_eq!((stats.failed, stats.completed), (2, 2));
+}
