@@ -2,10 +2,10 @@
 //! paper Figure 1).
 
 use crate::error::DataflowError;
-use crate::pe::{PeFactory, ScriptPeFactory};
+use crate::pe::{CanonicalScript, PeFactory, ScriptPeFactory};
 use crate::ports::PortTable;
 use crate::routing::Grouping;
-use laminar_script::{parse_script, Host, WorkflowDecl};
+use laminar_script::{Host, WorkflowDecl};
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::sync::Arc;
 
@@ -293,7 +293,17 @@ impl WorkflowGraph {
         workflow_name: &str,
         host: Arc<dyn Host + Send + Sync>,
     ) -> Result<Self, DataflowError> {
-        let script = parse_script(source).map_err(DataflowError::from)?;
+        Self::from_canonical(&CanonicalScript::parse(source)?, workflow_name, host)
+    }
+
+    /// [`Self::from_script_with_host`] over an already-canonicalised
+    /// script: every node shares its AST and compiled program.
+    pub fn from_canonical(
+        canonical: &CanonicalScript,
+        workflow_name: &str,
+        host: Arc<dyn Host + Send + Sync>,
+    ) -> Result<Self, DataflowError> {
+        let script = canonical.script();
         let decl: &WorkflowDecl = script
             .workflows()
             .find(|w| w.name == workflow_name)
@@ -310,7 +320,7 @@ impl WorkflowGraph {
                     decl.name, node.pe_name
                 )));
             }
-            let factory = ScriptPeFactory::from_source_with_host(source, &node.pe_name, Arc::clone(&host))?;
+            let factory = ScriptPeFactory::from_canonical(canonical, &node.pe_name, Arc::clone(&host))?;
             let id = graph.add(Arc::new(factory));
             alias_to_id.insert(node.alias.clone(), id);
         }
@@ -478,6 +488,11 @@ mod tests {
         assert!(g.description().unwrap().contains("random numbers"));
         assert!(g.validate().is_ok());
         assert_eq!(g.roots().len(), 1);
+        // The nodes share one canonical parse, and its compile time is
+        // counted once for the graph, not once per node.
+        let sources: HashSet<_> = g.nodes().iter().map(|n| n.meta().source.clone().unwrap()).collect();
+        assert_eq!(sources.len(), 1);
+        assert!(g.nodes()[1..].iter().all(|n| n.compile_time().is_zero()));
         // Unknown workflow name
         assert!(WorkflowGraph::from_script(src, "Nope").is_err());
     }

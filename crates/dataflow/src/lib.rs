@@ -61,7 +61,9 @@ pub use mapping::{
     fold_events, CancelToken, EventFold, MappingKind, RecordingObserver, ResumePoint, RunEvent, RunInput,
     RunObserver, RunOptions, RunResult, RunStats, SourceGenerator, StageTimings,
 };
-pub use pe::{consumer_fn, iterative_fn, producer_fn, NativePe, Pe, PeFactory, PeMeta, ScriptPeFactory};
+pub use pe::{
+    consumer_fn, iterative_fn, producer_fn, CanonicalScript, NativePe, Pe, PeFactory, PeMeta, ScriptPeFactory,
+};
 pub use planner::{ConcretePlan, InstanceId};
 pub use ports::{PortId, PortTable};
 pub use routing::Grouping;

@@ -13,8 +13,9 @@ use crate::error::DataflowError;
 use laminar_json::Value;
 use laminar_script::{
     analysis, compile, parse_script, to_source, Host, Interp, NullHost, PeDecl, PeKind, PortDecl, Program,
-    Script, Sink, Vm,
+    Script, ScriptError, Sink, Vm,
 };
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -133,15 +134,53 @@ pub trait PeFactory: Send + Sync {
 // Scripted PEs
 // ---------------------------------------------------------------------------
 
-/// Factory for script-defined PEs.
+/// A LamScript source parsed, canonicalised and compiled once, so every
+/// scripted PE built from it shares one AST and one compiled program.
 ///
-/// Construction compiles the canonical source to bytecode through the
-/// process-wide compile cache ([`compile::shared`]); instances then run
-/// the [`Vm`] unless the run forces the interpreter or compilation was
-/// unavailable. Both engines execute the *canonical reparse* of the
-/// source, so their observable behaviour — including error line numbers —
-/// is identical, and equal canonical sources share one compiled program
-/// across factories and engine forks.
+/// Both backends execute the *canonical reparse* of the source: the
+/// compiled program is cached under the canonical text
+/// ([`compile::shared`]), so running the interpreter on the same AST keeps
+/// the two observationally identical down to error line numbers, and
+/// equal canonical sources share one program across graphs and engine
+/// forks. Compilation failure (e.g. a pathologically large body
+/// overflowing the bytecode's index spaces) is not fatal: the
+/// tree-walking interpreter remains as the fallback backend.
+pub struct CanonicalScript {
+    script: Arc<Script>,
+    canonical: String,
+    program: Option<Arc<Program>>,
+    compile_time: Duration,
+    /// Set once a factory has reported `compile_time`, so a graph whose
+    /// nodes share this script counts the compilation once.
+    compile_reported: AtomicBool,
+}
+
+impl CanonicalScript {
+    /// Parse `source`, canonicalise it and compile the canonical text.
+    pub fn parse(source: &str) -> Result<CanonicalScript, ScriptError> {
+        let parsed = parse_script(source)?;
+        let canonical = to_source(&parsed);
+        let script = parse_script(&canonical).unwrap_or(parsed);
+        let t0 = Instant::now();
+        let program = compile::shared(&canonical).ok();
+        Ok(CanonicalScript {
+            script: Arc::new(script),
+            canonical,
+            program,
+            compile_time: t0.elapsed(),
+            compile_reported: AtomicBool::new(false),
+        })
+    }
+
+    /// The canonical AST.
+    pub fn script(&self) -> &Script {
+        &self.script
+    }
+}
+
+/// Factory for script-defined PEs: one PE of a [`CanonicalScript`].
+/// Instances run the compiled program on the [`Vm`] unless the run forces
+/// the interpreter or compilation was unavailable.
 pub struct ScriptPeFactory {
     script: Arc<Script>,
     decl: PeDecl,
@@ -166,38 +205,35 @@ impl ScriptPeFactory {
         pe_name: &str,
         host: Arc<dyn Host + Send + Sync>,
     ) -> Result<Self, DataflowError> {
-        let parsed =
-            parse_script(source).map_err(|e| DataflowError::PeFailed { pe: pe_name.into(), error: e })?;
-        if parsed.pe(pe_name).is_none() {
-            return Err(DataflowError::Graph(format!("source defines no PE named '{pe_name}'")));
-        }
-        let canonical = to_source(&parsed);
-        // Execute the canonical reparse (not the original parse): the
-        // compiled program is cached under the canonical text, so running
-        // the interpreter on the same AST keeps the two backends
-        // observationally identical down to error line numbers.
-        let script = parse_script(&canonical).unwrap_or(parsed);
+        let script = CanonicalScript::parse(source)
+            .map_err(|e| DataflowError::PeFailed { pe: pe_name.into(), error: e })?;
+        Self::from_canonical(&script, pe_name, host)
+    }
+
+    /// A factory for the PE named `pe_name` in an already-canonicalised
+    /// script, sharing its AST and compiled program.
+    pub fn from_canonical(
+        script: &CanonicalScript,
+        pe_name: &str,
+        host: Arc<dyn Host + Send + Sync>,
+    ) -> Result<Self, DataflowError> {
         let decl = script
+            .script
             .pe(pe_name)
             .cloned()
             .ok_or_else(|| DataflowError::Graph(format!("source defines no PE named '{pe_name}'")))?;
         let mut meta = PeMeta::from_decl(&decl);
-        meta.source = Some(canonical.clone());
-        let t0 = Instant::now();
-        // Compilation failure (e.g. a pathologically large body overflowing
-        // the bytecode's index spaces) is not fatal: the tree-walking
-        // interpreter remains as the fallback backend.
-        let program = compile::shared(&canonical).ok();
-        let compile_time = t0.elapsed();
+        meta.source = Some(script.canonical.clone());
+        let first = !script.compile_reported.swap(true, Ordering::Relaxed);
         Ok(ScriptPeFactory {
-            script: Arc::new(script),
+            script: Arc::clone(&script.script),
             decl,
             meta,
             host,
             fuel: laminar_script::interp::DEFAULT_FUEL,
             seed: 0x1a31_4a12,
-            program,
-            compile_time,
+            program: script.program.clone(),
+            compile_time: if first { script.compile_time } else { Duration::ZERO },
         })
     }
 

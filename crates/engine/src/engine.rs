@@ -6,11 +6,11 @@ use crate::netmodel::NetModel;
 use crate::request::ExecutionRequest;
 use laminar_dataflow::mapping::{RunOptions, RunResult};
 use laminar_dataflow::{
-    CancelToken, DataflowError, Pe, PeFactory, PeMeta, RunObserver, ScriptPeFactory, Sink, StageTimings,
-    WorkflowGraph,
+    CancelToken, CanonicalScript, DataflowError, Pe, PeFactory, PeMeta, RunObserver, ScriptPeFactory, Sink,
+    StageTimings, WorkflowGraph,
 };
 use laminar_json::Value;
-use laminar_script::{analysis, parse_script};
+use laminar_script::analysis;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -253,13 +253,15 @@ impl ExecutionEngine {
         self.runs += 1;
 
         // 0. Network: the request crosses the link to the engine.
-        self.net.charge(req.wire_size());
+        self.net.charge(|| req.wire_size());
 
         // 1. Parse and analyze imports (the findimports pass runs client-
         //    side in the paper; the engine re-derives the list defensively).
-        let script = parse_script(&req.source)
+        //    The canonical script is parsed and compiled once per request
+        //    and shared by every node the graph builds from it.
+        let script = CanonicalScript::parse(&req.source)
             .map_err(|e| DataflowError::PeFailed { pe: "<request>".into(), error: e })?;
-        let imports = analysis::imports(&script);
+        let imports = analysis::imports(script.script());
 
         // 2. Provision the environment and install libraries.
         let report = self.env.provision(&imports);
@@ -308,8 +310,7 @@ impl ExecutionEngine {
         for ((pe, port), values) in result.outputs {
             output.outputs.insert(format!("{pe}.{port}"), Value::Array(values));
         }
-        let resp_bytes = laminar_json::to_string(&output.to_value()).len();
-        self.net.charge(resp_bytes);
+        self.net.charge(|| laminar_json::to_string(&output.to_value()).len());
         output.total_time = t0.elapsed();
         Ok(output)
     }
@@ -317,7 +318,7 @@ impl ExecutionEngine {
     fn enact(
         &self,
         req: &ExecutionRequest,
-        script: &laminar_script::Script,
+        script: &CanonicalScript,
         host: Arc<dyn laminar_script::Host + Send + Sync>,
         observer: Option<Arc<dyn RunObserver>>,
         cancel: &CancelToken,
@@ -331,14 +332,15 @@ impl ExecutionEngine {
         options.faults = req.faults.clone().unwrap_or_else(laminar_dataflow::FaultPlan::from_env);
         options.resume = req.resume.clone();
 
-        let workflow = req.workflow.as_deref().or_else(|| script.workflows().next().map(|w| w.name.as_str()));
-        let mut pes = script.pes();
+        let workflow =
+            req.workflow.as_deref().or_else(|| script.script().workflows().next().map(|w| w.name.as_str()));
+        let mut pes = script.script().pes();
         let graph = match (workflow, pes.next(), pes.next()) {
-            (Some(wf), _, _) => WorkflowGraph::from_script_with_host(&req.source, wf, host)?,
+            (Some(wf), _, _) => WorkflowGraph::from_canonical(script, wf, host)?,
             // FaaS-style single-PE execution (paper §3.4.1): a one-node
             // workflow, so it streams, cancels and checkpoints like any other.
             (None, Some(pe), None) => {
-                let factory = ScriptPeFactory::from_source_with_host(&req.source, &pe.name, host)?;
+                let factory = ScriptPeFactory::from_canonical(script, &pe.name, host)?;
                 let mut graph = WorkflowGraph::new(pe.name.as_str());
                 graph.add(Arc::new(SinglePeFactory::new(factory)));
                 graph
@@ -648,5 +650,15 @@ mod tests {
         let t_local = local.run(&req).unwrap().total_time;
         let t_remote = remote.run(&req).unwrap().total_time;
         assert!(t_remote >= t_local + Duration::from_millis(15), "{t_remote:?} vs {t_local:?}");
+    }
+
+    #[test]
+    fn bandwidth_bound_link_pays_the_payload_size() {
+        let net = NetModel { one_way_latency: Duration::ZERO, bytes_per_ms: 100 };
+        let req = ExecutionRequest::simple("u", WF_SRC, 1);
+        let out = ExecutionEngine::instant().with_net(net).run(&req).unwrap();
+        let request_ms = (req.wire_size() / 100) as u64;
+        assert!(request_ms >= 5, "the request is big enough to measure");
+        assert!(out.total_time >= Duration::from_millis(request_ms), "{:?}", out.total_time);
     }
 }

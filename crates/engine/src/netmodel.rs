@@ -41,9 +41,12 @@ impl NetModel {
         self.transfer_delay(req_bytes) + self.transfer_delay(resp_bytes)
     }
 
-    /// Sleep for the one-direction delay (used by the engine to charge the
-    /// cost for real).
-    pub fn charge(&self, bytes: usize) -> Duration {
+    /// Sleep for the one-direction delay of a payload (used by the engine
+    /// to charge the cost for real). The payload is sized only on a link
+    /// with a bandwidth term: measuring it can cost a full serialisation,
+    /// which an infinite-bandwidth link never needs.
+    pub fn charge(&self, bytes: impl FnOnce() -> usize) -> Duration {
+        let bytes = if self.bytes_per_ms == 0 { 0 } else { bytes() };
         let d = self.transfer_delay(bytes);
         if !d.is_zero() {
             std::thread::sleep(d);
@@ -77,7 +80,21 @@ mod tests {
     fn charge_sleeps() {
         let m = NetModel { one_way_latency: Duration::from_millis(5), bytes_per_ms: 0 };
         let t0 = std::time::Instant::now();
-        m.charge(10);
+        m.charge(|| 10);
         assert!(t0.elapsed() >= Duration::from_millis(4));
+    }
+
+    #[test]
+    fn charge_sizes_the_payload_only_on_a_bandwidth_bound_link() {
+        let sized = std::cell::Cell::new(false);
+        let size = || {
+            sized.set(true);
+            10_000
+        };
+        NetModel::local().charge(size);
+        assert!(!sized.get(), "an infinite-bandwidth link never sizes the payload");
+        let slow = NetModel { one_way_latency: Duration::ZERO, bytes_per_ms: 1_000 };
+        assert_eq!(slow.charge(size), Duration::from_millis(10), "10 kB at 1 kB/ms");
+        assert!(sized.get());
     }
 }
