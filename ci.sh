@@ -28,8 +28,10 @@
 #                journal segments, the mid-stream worker-failure
 #                regression, and randomized slow/dead-consumer
 #                backpressure (PROPTEST_CASES env raises the depth)
-#   bench-smoke  bench compile, smoke runs, and the bench_check
-#                regression guard against the committed BENCH_PR*.json
+#   bench-smoke  bench compile, smoke runs, the perfbench harness's
+#                tests (a separate package no other tier builds), and
+#                the bench_check regression guard against the committed
+#                BENCH_PR*.json
 #   lint         rustfmt + clippy (warnings are errors)
 #
 # Every run ends with a per-tier wall-clock timing summary and, when all
@@ -107,6 +109,9 @@ tier_bench_smoke() {
   test -s target/bench_search_smoke.json
   cargo run --release -p laminar-bench --bin sustained_load -- --smoke --out target/bench_sustained_smoke.json
   test -s target/bench_sustained_smoke.json
+  # The repo benchmark harness is its own package: build and test it so
+  # an API change that breaks it fails here, not at benchmark time.
+  cargo test --release --offline --manifest-path perfbench/Cargo.toml
   # The regression guard: fresh smoke vs the committed trajectory.
   cargo run --release -p laminar-bench --bin bench_check
 }
@@ -117,7 +122,7 @@ tier_lint() {
 }
 
 usage() {
-  sed -n '2,34p' "$0" | sed 's/^# \{0,1\}//'
+  sed -n '2,36p' "$0" | sed 's/^# \{0,1\}//'
 }
 
 TIERS=()

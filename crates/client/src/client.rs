@@ -695,39 +695,6 @@ impl LaminarClient {
             deadline: std::time::Instant::now() + timeout,
         }
     }
-
-    /// Wait for a job like [`LaminarClient::wait_job`], invoking
-    /// `on_event` for every event of its stream as it arrives (progress
-    /// reporting). Requires the job to have been submitted with
-    /// [`RunConfig::with_events`] for event granularity — without it the
-    /// callback only sees the terminal marker. Progress is best-effort:
-    /// a truncated or interrupted stream stops the callbacks but the
-    /// result is still awaited and returned.
-    pub fn wait_job_with_progress(
-        &self,
-        job_id: i64,
-        timeout: std::time::Duration,
-        mut on_event: impl FnMut(&Value),
-    ) -> Result<ExecutionOutput, ClientError> {
-        let deadline = std::time::Instant::now() + timeout;
-        for event in self.event_stream(job_id, timeout) {
-            match event {
-                Ok(event) => on_event(&event),
-                // The stream recovered from eviction at an epoch marker —
-                // keep reporting from there.
-                Err(ClientError::Resumed { .. }) => {}
-                // A lost stream (log truncation, transport hiccup) must
-                // not lose a retrievable result — fall through to the
-                // result poll below.
-                Err(_) => break,
-            }
-        }
-        let remaining = deadline.saturating_duration_since(std::time::Instant::now());
-        // Stream closed normally → the terminal phase is committed and
-        // this returns on the first poll; stream lost → keep waiting out
-        // the caller's budget.
-        self.wait_job(job_id, remaining)
-    }
 }
 
 /// Blocking iterator over a job's event stream — see
@@ -1025,7 +992,8 @@ mod tests {
     }
 
     #[test]
-    fn wait_job_with_progress_reports_events_and_result() {
+    fn event_stream_then_wait_job_reports_events_and_result() {
+        // Progress reporting: follow the stream, then collect the result.
         let mut c = logged_in_client();
         c.register_workflow(WF_SRC, "isPrime", None).unwrap();
         let id = c
@@ -1033,13 +1001,14 @@ mod tests {
             .unwrap();
         let mut outputs_seen = 0usize;
         let mut finished_seen = false;
-        let out = c
-            .wait_job_with_progress(id, std::time::Duration::from_secs(20), |e| match e["type"].as_str() {
+        for event in c.event_stream(id, std::time::Duration::from_secs(20)) {
+            match event.unwrap()["type"].as_str() {
                 Some("output") => outputs_seen += 1,
                 Some("finished") => finished_seen = true,
                 _ => {}
-            })
-            .unwrap();
+            }
+        }
+        let out = c.wait_job(id, std::time::Duration::from_secs(20)).unwrap();
         assert!(finished_seen, "the finished event reached the progress callback");
         assert_eq!(outputs_seen, 0, "IsPrime's terminal consumer prints; no terminal ports");
         assert_eq!(out.printed.len(), 8, "primes <= 20");
@@ -1073,7 +1042,7 @@ mod tests {
     }
 
     #[test]
-    fn wait_job_with_progress_survives_stream_truncation() {
+    fn wait_job_after_a_truncated_event_stream_returns_the_result() {
         // When the bounded log evicted events, the progress stream is
         // lost but the completed job's result must still come back.
         let mut c = logged_in_client();
@@ -1084,11 +1053,13 @@ mod tests {
         let id =
             c.submit(RunTarget::Source(src.into()), RunConfig::iterations(9000).with_events(true)).unwrap();
         c.wait_job(id, std::time::Duration::from_secs(60)).unwrap();
-        let mut events_seen = 0usize;
-        let out = c
-            .wait_job_with_progress(id, std::time::Duration::from_secs(30), |_| events_seen += 1)
-            .expect("result survives the truncated stream");
-        assert_eq!(events_seen, 0, "stream was truncated before the first page");
+        let stream: Vec<_> = c.event_stream(id, std::time::Duration::from_secs(30)).collect();
+        assert!(
+            matches!(stream.as_slice(), [Err(ClientError::Transport(_))]),
+            "stream was truncated before the first page: {stream:?}"
+        );
+        let out =
+            c.wait_job(id, std::time::Duration::from_secs(30)).expect("result survives the truncated stream");
         assert_eq!(out.port_values("Gen", "output").len(), 9000);
     }
 
