@@ -22,7 +22,6 @@ use laminar_dataflow::mapping::ResumePoint;
 use laminar_dataflow::{CancelToken, DataflowError, FaultPlan, RunEvent, RunObserver};
 use laminar_json::Value;
 use parking_lot::{Condvar, Mutex};
-use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -377,18 +376,6 @@ struct PoolInner {
 }
 
 impl PoolInner {
-    /// A fresh per-job log under the pool's current retention config.
-    /// `horizon` is true for checkpointed jobs (`checkpoint_every > 0`),
-    /// whose epochs give the log something better than eviction to
-    /// degrade to.
-    fn new_log(&self, horizon: bool) -> Arc<JobEventLog> {
-        JobEventLog::new(
-            horizon,
-            self.event_log_capacity.load(Ordering::SeqCst),
-            Duration::from_millis(self.backpressure_wait_ms.load(Ordering::SeqCst)),
-        )
-    }
-
     /// The one terminal transition, taken under the `jobs` lock: commit
     /// the outcome to the record, seal its log with exactly one terminal
     /// marker, count it, and apply the journal rule. A completed job needs
@@ -608,7 +595,14 @@ impl EnginePool {
             self.inner.rejected.fetch_add(1, Ordering::SeqCst);
             return Err(PoolError::QueueFull { capacity: self.inner.capacity });
         }
-        let log = self.inner.new_log(req.options.checkpoint_every > 0);
+        // A fresh log under the pool's current retention config. Checkpointed
+        // jobs get the horizon policy: their epochs give the log something
+        // better than eviction to degrade to.
+        let log = JobEventLog::new(
+            req.options.checkpoint_every > 0,
+            self.inner.event_log_capacity.load(Ordering::SeqCst),
+            Duration::from_millis(self.inner.backpressure_wait_ms.load(Ordering::SeqCst)),
+        );
         let id = match resumed {
             Some((id, prefix)) => {
                 // Keep the id allocator ahead of resurrected ids so fresh
@@ -679,35 +673,24 @@ impl EnginePool {
     /// horizon policy: the slow-consumer gates assert `end - first` stays
     /// bounded by the configured capacity (plus one producer burst).
     pub fn event_log_window(&self, owner: &str, id: i64) -> Option<(u64, u64)> {
-        let jobs = self.inner.jobs.lock();
-        let rec = jobs.get(&id)?;
-        if rec.owner != owner {
-            return None;
-        }
-        let log = Arc::clone(&rec.events);
-        drop(jobs);
-        Some(log.window())
+        Some(self.with_job(owner, id, |rec| Arc::clone(&rec.events))?.window())
     }
 
     /// Current view of a job. `None` when the id is unknown or owned by
     /// someone else (tenants cannot observe each other's jobs).
     pub fn status(&self, owner: &str, id: i64) -> Option<JobInfo> {
-        let jobs = self.inner.jobs.lock();
-        let rec = jobs.get(&id)?;
-        if rec.owner != owner {
-            return None;
-        }
-        Some(rec.info(id))
+        self.with_job(owner, id, |rec| rec.info(id))
     }
 
     /// Poll a job for its result.
     pub fn result(&self, owner: &str, id: i64) -> Option<JobResult> {
-        let jobs = self.inner.jobs.lock();
-        let rec = jobs.get(&id)?;
-        if rec.owner != owner {
-            return None;
-        }
-        Some(Self::result_of(rec, id))
+        self.with_job(owner, id, |rec| Self::result_of(rec, id))
+    }
+
+    /// `f` applied to `owner`'s job `id` under the jobs lock; `None` when
+    /// the id is unknown or owned by someone else.
+    fn with_job<T>(&self, owner: &str, id: i64, f: impl FnOnce(&JobRecord) -> T) -> Option<T> {
+        self.inner.jobs.lock().get(&id).filter(|rec| rec.owner == owner).map(f)
     }
 
     fn result_of(rec: &JobRecord, id: i64) -> JobResult {
@@ -810,15 +793,7 @@ impl EnginePool {
     /// or `wait` elapses. `wait = 0` is byte-identical to a plain poll.
     /// No job lock is held while parked — only the per-job log's.
     pub fn events_wait(&self, owner: &str, id: i64, since: u64, wait: Duration) -> Option<EventPage> {
-        let log = {
-            let jobs = self.inner.jobs.lock();
-            let rec = jobs.get(&id)?;
-            if rec.owner != owner {
-                return None;
-            }
-            Arc::clone(&rec.events)
-        };
-        Some(log.page_wait(since, wait))
+        Some(self.with_job(owner, id, |rec| Arc::clone(&rec.events))?.page_wait(since, wait))
     }
 
     /// Resume an interrupted checkpointed job from its journal (the
@@ -1017,7 +992,10 @@ fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker_id: usize)
             Ok(Err(e)) => Outcome::Failed(e.to_string()),
             Err(payload) => {
                 engine = engine.fork();
-                Outcome::Failed(format!("panicked: {}", panic_message(payload.as_ref())))
+                let message = payload.downcast_ref::<&str>().map(|m| m.to_string());
+                let message =
+                    message.or_else(|| payload.downcast_ref::<String>().cloned()).unwrap_or_default();
+                Outcome::Failed(format!("panicked: {message}"))
             }
         };
         inner.running.fetch_sub(1, Ordering::SeqCst);
@@ -1028,15 +1006,6 @@ fn worker_loop(inner: &PoolInner, mut engine: ExecutionEngine, worker_id: usize)
         drop(jobs);
         inner.retire(id, streaming);
     }
-}
-
-/// The message a panic carried (`panic!` payloads are `&str` or `String`).
-fn panic_message(payload: &(dyn Any + Send)) -> &str {
-    payload
-        .downcast_ref::<&str>()
-        .copied()
-        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
-        .unwrap_or("non-string panic payload")
 }
 
 #[cfg(test)]
